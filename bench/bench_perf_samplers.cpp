@@ -9,12 +9,10 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
-#include <span>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
-#include "core/batched_likelihood.hpp"
 #include "core/hmc.hpp"
 #include "core/kernels/dispatch.hpp"
 #include "core/likelihood.hpp"
@@ -112,90 +110,6 @@ void BM_GradientScalar(benchmark::State& state) {
                           static_cast<std::int64_t>(data.path_count()));
 }
 BENCHMARK(BM_GradientScalar)->Arg(64)->Arg(256)->Arg(1024);
-
-/// Shared path structure for the batched-vs-independent comparison: the
-/// label vector is per target, so paths are generated once and relabeled.
-std::vector<topology::AsPath> synthetic_paths(std::size_t ases,
-                                              std::size_t paths,
-                                              std::uint64_t seed = 42) {
-  stats::Rng rng(seed);
-  std::vector<topology::AsPath> out;
-  out.reserve(paths);
-  for (std::size_t j = 0; j < paths; ++j) {
-    topology::AsPath path;
-    const std::size_t len = 3 + rng.index(4);
-    for (std::size_t k = 0; k < len; ++k)
-      path.push_back(static_cast<topology::AsId>(rng.index(ases)) + 10);
-    out.push_back(path);
-  }
-  return out;
-}
-
-std::vector<std::vector<std::uint8_t>> synthetic_labels(std::size_t paths,
-                                                        std::size_t targets) {
-  stats::Rng rng(7);
-  std::vector<std::vector<std::uint8_t>> labels(
-      targets, std::vector<std::uint8_t>(paths));
-  for (auto& target : labels)
-    for (auto& label : target) label = rng.bernoulli(0.4) ? 1 : 0;
-  return labels;
-}
-
-labeling::PathDataset dataset_with_labels(
-    const std::vector<topology::AsPath>& paths,
-    const std::vector<std::uint8_t>& labels) {
-  labeling::PathDataset data;
-  for (std::size_t j = 0; j < paths.size(); ++j)
-    data.add_path(paths[j], labels[j] != 0);
-  return data;
-}
-
-/// One posterior pass (log-likelihood + gradient) for 8 prefix targets
-/// sharing the path structure, evaluated in one batched CSR walk...
-void BM_BatchedPosterior8(benchmark::State& state) {
-  const auto ases = static_cast<std::size_t>(state.range(0));
-  const auto paths = synthetic_paths(ases, ases * 4);
-  const auto labels = synthetic_labels(paths.size(), 8);
-  const auto data = dataset_with_labels(paths, labels[0]);
-  const core::BatchedLikelihood batched(data, labels);
-  const std::size_t dim = batched.dim();
-  std::vector<double> p(8 * dim, 0.3), ll(8), grad(8 * dim);
-  for (auto _ : state) {
-    batched.posteriors(p, ll, grad);
-    benchmark::DoNotOptimize(ll.data());
-    benchmark::DoNotOptimize(grad.data());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(data.path_count()) * 8);
-}
-BENCHMARK(BM_BatchedPosterior8)->Arg(256)->Arg(1024);
-
-/// ... versus 8 independent single-target Likelihood passes.
-void BM_IndependentPosterior8(benchmark::State& state) {
-  const auto ases = static_cast<std::size_t>(state.range(0));
-  const auto paths = synthetic_paths(ases, ases * 4);
-  const auto labels = synthetic_labels(paths.size(), 8);
-  std::vector<labeling::PathDataset> datasets;
-  datasets.reserve(8);
-  for (std::size_t k = 0; k < 8; ++k)
-    datasets.push_back(dataset_with_labels(paths, labels[k]));
-  std::vector<core::Likelihood> liks;
-  liks.reserve(8);
-  for (std::size_t k = 0; k < 8; ++k) liks.emplace_back(datasets[k]);
-  const std::size_t dim = liks.front().dim();
-  std::vector<double> p(8 * dim, 0.3), grad(dim);
-  for (auto _ : state) {
-    for (std::size_t k = 0; k < 8; ++k) {
-      const std::span<const double> pk(p.data() + k * dim, dim);
-      benchmark::DoNotOptimize(liks[k].log_likelihood(pk));
-      liks[k].gradient(pk, grad);
-      benchmark::DoNotOptimize(grad.data());
-    }
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(paths.size()) * 8);
-}
-BENCHMARK(BM_IndependentPosterior8)->Arg(256)->Arg(1024);
 
 void BM_MetropolisSweeps(benchmark::State& state) {
   const auto data = synthetic_dataset(
@@ -340,12 +254,6 @@ int main(int argc, char** argv) {
     add_speedup("Speedup_Gradient_" + level + "_vs_scalar/" + size,
                 std::string("BM_GradientScalar/") + size,
                 std::string("BM_Gradient/") + size);
-  }
-  for (const char* size : {"256", "1024"}) {
-    add_speedup(std::string("Speedup_Posterior8_batched_vs_independent/") +
-                    size,
-                std::string("BM_IndependentPosterior8/") + size,
-                std::string("BM_BatchedPosterior8/") + size);
   }
 
   if (!because::bench::write_bench_json("BENCH_samplers.json", records))

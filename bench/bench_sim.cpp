@@ -1,15 +1,12 @@
 // Simulator-core throughput bench: BENCH_sim.json.
 //
 // Three layers of measurement, from engine-only to end-to-end:
-//   1. BM_EventEngine/{calendar,heap}: pure schedule+dispatch throughput of
-//      the two EventQueue backends on a synthetic campaign-shaped workload
-//      (typed deliveries/timers plus a closure minority, dense time ties).
-//      The calendar/heap ratio is the engine speedup over the pre-PR
-//      std::function binary heap.
+//   1. BM_EventEngine/calendar: pure schedule+dispatch throughput of the
+//      calendar EventQueue on a synthetic campaign-shaped workload (typed
+//      deliveries/timers plus a closure minority, dense time ties).
 //   2. BM_SimNetwork/<ases>: events/s of a full BGP network simulation
 //      (routers, RFD deployment, beacons, collectors) driven by the calendar
-//      engine; at the smallest scale the heap backend runs the identical
-//      workload for an end-to-end before/after ratio.
+//      engine.
 //   3. BM_ShardedSim/<ases>/shards:<K>: the BM_SimNetwork workload run on the
 //      space-parallel sharded engine at K = 1, 2, 4, 8 shards. The sharded
 //      runs are bit-identical, so every K executes the same event count and
@@ -82,9 +79,8 @@ struct EngineMeasurement {
   }
 };
 
-EngineMeasurement measure_engine(sim::EngineBackend backend,
-                                 std::uint64_t count) {
-  sim::EventQueue queue(backend);
+EngineMeasurement measure_engine(std::uint64_t count) {
+  sim::EventQueue queue;
   const sim::EventQueue::EventFn noop =
       [](sim::EventQueue&, void*, std::uint64_t, std::uint64_t) {};
   // Campaign-shaped times: millisecond-scale spacing with heavy ties. The
@@ -131,7 +127,7 @@ EngineMeasurement measure_engine(sim::EngineBackend backend,
 
 // -- 2. full network simulation ----------------------------------------------
 
-EngineMeasurement measure_sim(std::size_t ases, sim::EngineBackend backend) {
+EngineMeasurement measure_sim(std::size_t ases) {
   topology::GeneratorConfig tcfg;
   tcfg.tier1_count = 8;
   tcfg.transit_count = static_cast<std::uint32_t>(ases * 12 / 100);
@@ -145,7 +141,7 @@ EngineMeasurement measure_sim(std::size_t ases, sim::EngineBackend backend) {
       experiment::plan_deployment(graph, experiment::DeploymentConfig{},
                                   deploy_rng);
 
-  sim::EventQueue queue(backend);
+  sim::EventQueue queue;
   stats::Rng net_rng = rng.fork();
   bgp::Network network(graph, bgp::NetworkConfig{}, queue, net_rng);
   plan.apply(network);
@@ -183,19 +179,16 @@ EngineMeasurement measure_sim(std::size_t ases, sim::EngineBackend backend) {
   m.events = queue.executed();
   m.seconds = seconds_since(start);
   m.allocs = allocation_count() - allocs_before;
-  if (backend == sim::EngineBackend::kCalendar) {
-    // Engine health line (stderr, not part of BENCH_sim.json): scan/skip work
-    // per pop and resize count tell whether the calendar width tracked the
-    // workload.
-    std::fprintf(stderr,
-                 "[calendar %zu] resizes=%llu scan/ev=%.2f skip/ev=%.2f\n",
-                 ases,
-                 static_cast<unsigned long long>(queue.cal_resizes()),
-                 static_cast<double>(queue.cal_scan_steps()) /
-                     static_cast<double>(m.events),
-                 static_cast<double>(queue.cal_window_skips()) /
-                     static_cast<double>(m.events));
-  }
+  // Engine health line (stderr, not part of BENCH_sim.json): scan/skip work
+  // per pop and resize count tell whether the calendar width tracked the
+  // workload.
+  std::fprintf(stderr,
+               "[calendar %zu] resizes=%llu scan/ev=%.2f skip/ev=%.2f\n",
+               ases, static_cast<unsigned long long>(queue.cal_resizes()),
+               static_cast<double>(queue.cal_scan_steps()) /
+                   static_cast<double>(m.events),
+               static_cast<double>(queue.cal_window_skips()) /
+                   static_cast<double>(m.events));
   return m;
 }
 
@@ -231,8 +224,7 @@ EngineMeasurement measure_sim_sharded(std::size_t ases,
   std::vector<std::unique_ptr<sim::EventQueue>> queues;
   bgp::NetworkShards shards;
   for (std::uint32_t s = 0; s < partition.shards; ++s) {
-    queues.push_back(
-        std::make_unique<sim::EventQueue>(sim::EngineBackend::kCalendar));
+    queues.push_back(std::make_unique<sim::EventQueue>());
     queues.back()->bind_seq_counter(&seq_counter);
     shards.queues.push_back(queues.back().get());
     shards.tables.push_back(std::make_shared<topology::PathTable>());
@@ -365,27 +357,19 @@ int main(int argc, char** argv) {
                    util::fmt_double(m.allocs_per_event(), 3)});
   };
 
-  // 1. Engine-only: both backends on the identical synthetic workload.
-  // Best-of-3 per backend: the ratio is an acceptance gate, so keep scheduler
-  // noise out of it.
+  // 1. Engine-only, on the synthetic workload. Best-of-3: the obs-on/off
+  // ratio below is an acceptance gate, so keep scheduler noise out of it.
   constexpr std::uint64_t kEngineEvents = 1'000'000;
-  const auto best_engine = [](sim::EngineBackend backend) {
+  const auto best_engine = [] {
     EngineMeasurement best;
     for (int rep = 0; rep < 3; ++rep) {
-      const EngineMeasurement m = bench::measure_engine(backend, kEngineEvents);
+      const EngineMeasurement m = bench::measure_engine(kEngineEvents);
       if (rep == 0 || m.seconds < best.seconds) best = m;
     }
     return best;
   };
-  const EngineMeasurement engine_cal =
-      best_engine(sim::EngineBackend::kCalendar);
-  const EngineMeasurement engine_heap =
-      best_engine(sim::EngineBackend::kFunctionHeap);
+  const EngineMeasurement engine_cal = best_engine();
   add("BM_EventEngine/calendar", engine_cal);
-  add("BM_EventEngine/heap", engine_heap);
-  const double engine_speedup =
-      engine_cal.events_per_second() / engine_heap.events_per_second();
-  records.push_back({"BM_EventEngineSpeedup", engine_speedup, engine_speedup, 1});
 
   // 1b. The same engine workload with observability collection on. The
   // derived BM_ObsOverhead records carry the on/off cost ratio as ns_per_op;
@@ -393,8 +377,7 @@ int main(int argc, char** argv) {
   // may cost at most 5% of event-loop throughput).
   obs::set_enabled(true);
   obs::set_trace_enabled(true);
-  const EngineMeasurement engine_obs =
-      best_engine(sim::EngineBackend::kCalendar);
+  const EngineMeasurement engine_obs = best_engine();
   obs::set_enabled(false);
   obs::set_trace_enabled(false);
   obs::reset();
@@ -405,26 +388,16 @@ int main(int argc, char** argv) {
   records.push_back(
       {"BM_ObsOverhead/engine", engine_obs_overhead, engine_obs_overhead, 1});
 
-  // 2. Full network simulation per scale; before/after at the smallest scale,
-  // plus the obs-on overhead pair there.
-  double sim_speedup = 0.0;
+  // 2. Full network simulation per scale, plus the obs-on overhead pair at
+  // the smallest scale.
   double sim_obs_overhead = 0.0;
   for (std::size_t i = 0; i < scales.size(); ++i) {
-    const EngineMeasurement m =
-        bench::measure_sim(scales[i], sim::EngineBackend::kCalendar);
+    const EngineMeasurement m = bench::measure_sim(scales[i]);
     add("BM_SimNetwork/" + std::to_string(scales[i]), m);
     if (i == 0) {
-      const EngineMeasurement heap =
-          bench::measure_sim(scales[i], sim::EngineBackend::kFunctionHeap);
-      add("BM_SimNetwork/" + std::to_string(scales[i]) + "/heap", heap);
-      sim_speedup = m.events_per_second() / heap.events_per_second();
-      records.push_back({"BM_SimNetworkSpeedup/" + std::to_string(scales[i]),
-                         sim_speedup, sim_speedup, 1});
-
       obs::set_enabled(true);
       obs::set_trace_enabled(true);
-      const EngineMeasurement obs_on =
-          bench::measure_sim(scales[i], sim::EngineBackend::kCalendar);
+      const EngineMeasurement obs_on = bench::measure_sim(scales[i]);
       obs::set_enabled(false);
       obs::set_trace_enabled(false);
       obs::reset();
@@ -521,10 +494,6 @@ int main(int argc, char** argv) {
   }
 
   std::printf("%s", table.render("Simulator core throughput").c_str());
-  std::printf("engine speedup (calendar vs std::function heap): %.2fx\n",
-              engine_speedup);
-  std::printf("end-to-end sim speedup at %zu ASes: %.2fx\n", scales[0],
-              sim_speedup);
   std::printf("obs-on overhead: engine %.3fx, sim %.3fx\n",
               engine_obs_overhead, sim_obs_overhead);
   std::printf("sharded sim speedup (8 shards vs 1) at %zu ASes: %.2fx\n",

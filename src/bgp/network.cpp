@@ -86,7 +86,7 @@ void Network::build(stats::Rng& rng) {
   for (std::size_t i = 0; i < ids_.size(); ++i) {
     const std::uint32_t s = shard_of_[i];
     routers_.push_back(std::make_unique<Router>(
-        ids_[i], *shard_queues_[s], *shard_tables_[s], config_.rib_backend));
+        ids_[i], *shard_queues_[s], *shard_tables_[s]));
   }
   delivery_slabs_.resize(shard_queues_.size());
 
@@ -190,15 +190,6 @@ std::uint32_t Network::alloc_slot(DeliverySlab& slab) {
 
 void Network::deliver_in(sim::Duration delay, std::uint32_t to_index,
                          std::uint32_t from_index, const Update& update) {
-  if (queue_.backend() == sim::EngineBackend::kFunctionHeap) {
-    // Reference path: capture the Update by value in a per-message closure,
-    // exactly like the pre-calendar engine. Keeps bench_sim's "before"
-    // measurement honest about the allocation cost the slab removes.
-    Router* to = routers_[to_index].get();
-    const topology::AsId from = ids_[from_index];
-    queue_.schedule_in(delay, [to, from, update] { to->receive(from, update); });
-    return;
-  }
   const std::uint32_t src = shard_of_[from_index];
   std::uint32_t shard = src;
   if (sharded() && !shard_queues_[src]->in_round()) {

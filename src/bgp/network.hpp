@@ -43,15 +43,12 @@ struct NetworkConfig {
   double mrai_jitter = 0.25;
   sim::Duration min_link_delay = sim::milliseconds(10);
   sim::Duration max_link_delay = sim::milliseconds(800);
-  /// RIB storage used by every router (kMap is the differential-testing
-  /// reference; see bgp/rib.hpp).
-  RibBackend rib_backend = RibBackend::kFlat;
 };
 
 /// Per-shard wiring for the space-parallel engine: queue s drives the routers
 /// of shard s, which intern their AS paths into tables[s]. All queues must be
-/// calendar-backend and bound to one shared seq counter by the caller; both
-/// vectors have one entry per shard and shard_of has one entry per AS (by
+/// bound to one shared seq counter by the caller; both vectors have one
+/// entry per shard and shard_of has one entry per AS (by
 /// dense index, i.e. the AS's rank in the sorted id list — the same order
 /// topology::Partition uses).
 struct NetworkShards {

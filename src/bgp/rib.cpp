@@ -6,8 +6,6 @@
 
 namespace because::bgp {
 
-AdjRibIn::AdjRibIn(RibBackend backend) : backend_(backend) {}
-
 std::size_t AdjRibIn::slot_of(topology::AsId neighbor) const {
   if (cached_slot_ != static_cast<std::size_t>(-1) &&
       cached_slot_id_ == neighbor) {
@@ -25,15 +23,12 @@ std::size_t AdjRibIn::slot_of(topology::AsId neighbor) const {
 }
 
 void AdjRibIn::add_neighbor(topology::AsId neighbor) {
-  if (backend_ == RibBackend::kMap) return;  // the maps grow on demand
   const auto it =
       std::lower_bound(neighbor_ids_.begin(), neighbor_ids_.end(), neighbor);
   if (it != neighbor_ids_.end() && *it == neighbor) return;
   const auto pos = static_cast<std::size_t>(it - neighbor_ids_.begin());
   neighbor_ids_.insert(it, neighbor);
   cached_slot_ = static_cast<std::size_t>(-1);  // slot numbering shifted
-  mirror_.emplace(mirror_.begin() + static_cast<std::ptrdiff_t>(pos),
-                  MirrorMap::allocator_type(&mirror_pool_));
 
   const std::size_t old_stride = stride_;
   const std::size_t old_words = words_;
@@ -126,10 +121,6 @@ bool AdjRibIn::test_bit(const std::vector<std::uint64_t>& bits,
 
 void AdjRibIn::install(topology::AsId neighbor, const Route& route,
                        bool suppressed) {
-  if (backend_ == RibBackend::kMap) {
-    entries_[neighbor][route.prefix] = AdjRibInEntry{route, suppressed};
-    return;
-  }
   const std::size_t slot = slot_of(neighbor);
   if (slot == static_cast<std::size_t>(-1))
     throw std::invalid_argument("AdjRibIn: install from unknown neighbor");
@@ -139,17 +130,11 @@ void AdjRibIn::install(topology::AsId neighbor, const Route& route,
   if (!test_bit(occupied_, row, slot)) {
     set_bit(occupied_, row, slot, true);
     ++route_count_;
-    mirror_[slot].try_emplace(route.prefix);
   }
   set_bit(usable_, row, slot, !suppressed);
 }
 
 bool AdjRibIn::withdraw(topology::AsId neighbor, const Prefix& prefix) {
-  if (backend_ == RibBackend::kMap) {
-    auto it = entries_.find(neighbor);
-    if (it == entries_.end()) return false;
-    return it->second.erase(prefix) > 0;
-  }
   const std::size_t slot = slot_of(neighbor);
   if (slot == static_cast<std::size_t>(-1)) return false;
   const std::ptrdiff_t row = find_row(prefix);
@@ -158,20 +143,11 @@ bool AdjRibIn::withdraw(topology::AsId neighbor, const Prefix& prefix) {
   set_bit(occupied_, static_cast<std::uint32_t>(row), slot, false);
   set_bit(usable_, static_cast<std::uint32_t>(row), slot, false);
   --route_count_;
-  mirror_[slot].erase(prefix);
   return true;
 }
 
 void AdjRibIn::set_suppressed(topology::AsId neighbor, const Prefix& prefix,
                               bool value) {
-  if (backend_ == RibBackend::kMap) {
-    auto it = entries_.find(neighbor);
-    if (it == entries_.end()) return;
-    auto jt = it->second.find(prefix);
-    if (jt == it->second.end()) return;
-    jt->second.suppressed = value;
-    return;
-  }
   const std::size_t slot = slot_of(neighbor);
   if (slot == static_cast<std::size_t>(-1)) return;
   const std::ptrdiff_t row = find_row(prefix);
@@ -183,13 +159,6 @@ void AdjRibIn::set_suppressed(topology::AsId neighbor, const Prefix& prefix,
 
 const AdjRibInEntry* AdjRibIn::find(topology::AsId neighbor,
                                     const Prefix& prefix) const {
-  if (backend_ == RibBackend::kMap) {
-    auto it = entries_.find(neighbor);
-    if (it == entries_.end()) return nullptr;
-    auto jt = it->second.find(prefix);
-    if (jt == it->second.end()) return nullptr;
-    return &jt->second;
-  }
   const std::size_t slot = slot_of(neighbor);
   if (slot == static_cast<std::size_t>(-1)) return nullptr;
   const std::ptrdiff_t row = find_row(prefix);
@@ -201,14 +170,6 @@ const AdjRibInEntry* AdjRibIn::find(topology::AsId neighbor,
 void AdjRibIn::usable(const Prefix& prefix,
                       std::vector<RibCandidate>& out) const {
   out.clear();
-  if (backend_ == RibBackend::kMap) {
-    for (const auto& [neighbor, routes] : entries_) {
-      auto it = routes.find(prefix);
-      if (it != routes.end() && !it->second.suppressed)
-        out.push_back(RibCandidate{neighbor, &it->second.route});
-    }
-    return;
-  }
   const std::ptrdiff_t row = find_row(prefix);
   if (row < 0) return;
   const std::size_t base = static_cast<std::size_t>(row) * words_;
@@ -228,26 +189,13 @@ void AdjRibIn::usable(const Prefix& prefix,
 void AdjRibIn::prefixes_from(topology::AsId neighbor,
                              std::vector<Prefix>& out) const {
   out.clear();
-  if (backend_ == RibBackend::kMap) {
-    auto it = entries_.find(neighbor);
-    if (it == entries_.end()) return;
-    out.reserve(it->second.size());
-    for (const auto& [prefix, _] : it->second) out.push_back(prefix);
-    return;
-  }
   const std::size_t slot = slot_of(neighbor);
   if (slot == static_cast<std::size_t>(-1)) return;
-  const auto& mirror = mirror_[slot];
-  out.reserve(mirror.size());
-  for (const auto& [prefix, _] : mirror) out.push_back(prefix);
+  for (const auto& [key, row] : rows_)
+    if (test_bit(occupied_, row, slot)) out.push_back(unpack_prefix(key));
 }
 
 void AdjRibIn::note_seen(topology::AsId neighbor, const Prefix& prefix) {
-  if (backend_ == RibBackend::kMap) {
-    // Exact, collision-free key: the 40-bit pack of the prefix.
-    seen_[neighbor].insert(pack(prefix));
-    return;
-  }
   const std::size_t slot = slot_of(neighbor);
   if (slot == static_cast<std::size_t>(-1))
     throw std::invalid_argument("AdjRibIn: note_seen from unknown neighbor");
@@ -256,27 +204,12 @@ void AdjRibIn::note_seen(topology::AsId neighbor, const Prefix& prefix) {
 }
 
 bool AdjRibIn::seen(topology::AsId neighbor, const Prefix& prefix) const {
-  if (backend_ == RibBackend::kMap) {
-    const auto it = seen_.find(neighbor);
-    return it != seen_.end() && it->second.count(pack(prefix)) != 0;
-  }
   const std::size_t slot = slot_of(neighbor);
   if (slot == static_cast<std::size_t>(-1)) return false;
   const std::ptrdiff_t row = find_row(prefix);
   if (row < 0) return false;
   return cells_[static_cast<std::size_t>(row) * stride_ + slot].seen;
 }
-
-std::size_t AdjRibIn::route_count() const {
-  if (backend_ == RibBackend::kMap) {
-    std::size_t n = 0;
-    for (const auto& [_, routes] : entries_) n += routes.size();
-    return n;
-  }
-  return route_count_;
-}
-
-LocRib::LocRib(RibBackend backend) : backend_(backend) {}
 
 std::ptrdiff_t LocRib::find_slot(const Prefix& prefix) const {
   const std::uint64_t key = pack(prefix);
@@ -295,11 +228,6 @@ std::ptrdiff_t LocRib::find_slot(const Prefix& prefix) const {
 }
 
 const Selected* LocRib::select(const Prefix& prefix, const Selected& selected) {
-  if (backend_ == RibBackend::kMap) {
-    Selected& stored = best_[prefix];
-    stored = selected;
-    return &stored;
-  }
   const std::uint64_t key = pack(prefix);
   const auto it = std::lower_bound(
       slots_index_.begin(), slots_index_.end(), key,
@@ -319,26 +247,19 @@ const Selected* LocRib::select(const Prefix& prefix, const Selected& selected) {
   if (occupied_[slot] == 0) {
     occupied_[slot] = 1;
     ++size_;
-    mirror_.try_emplace(prefix);
   }
   return &slots_[slot];
 }
 
 bool LocRib::remove(const Prefix& prefix) {
-  if (backend_ == RibBackend::kMap) return best_.erase(prefix) > 0;
   const std::ptrdiff_t slot = find_slot(prefix);
   if (slot < 0 || occupied_[static_cast<std::size_t>(slot)] == 0) return false;
   occupied_[static_cast<std::size_t>(slot)] = 0;
   --size_;
-  mirror_.erase(prefix);
   return true;
 }
 
 const Selected* LocRib::find(const Prefix& prefix) const {
-  if (backend_ == RibBackend::kMap) {
-    auto it = best_.find(prefix);
-    return it == best_.end() ? nullptr : &it->second;
-  }
   const std::ptrdiff_t slot = find_slot(prefix);
   if (slot < 0 || occupied_[static_cast<std::size_t>(slot)] == 0) return nullptr;
   return &slots_[static_cast<std::size_t>(slot)];
@@ -346,17 +267,9 @@ const Selected* LocRib::find(const Prefix& prefix) const {
 
 void LocRib::prefixes(std::vector<Prefix>& out) const {
   out.clear();
-  if (backend_ == RibBackend::kMap) {
-    out.reserve(best_.size());
-    for (const auto& [prefix, _] : best_) out.push_back(prefix);
-    return;
-  }
-  out.reserve(mirror_.size());
-  for (const auto& [prefix, _] : mirror_) out.push_back(prefix);
-}
-
-std::size_t LocRib::size() const {
-  return backend_ == RibBackend::kMap ? best_.size() : size_;
+  out.reserve(size_);
+  for (const auto& [key, slot] : slots_index_)
+    if (occupied_[slot] != 0) out.push_back(unpack_prefix(key));
 }
 
 }  // namespace because::bgp

@@ -3,41 +3,28 @@
 // AdjRibIn stores, per neighbor and prefix, the last route received plus the
 // RFD suppression mark; LocRib stores the selected best route per prefix.
 //
-// Two storage backends, selected per router (NetworkConfig::rib_backend):
+// Both are flat slabs. AdjRibIn keeps its cells in one slab indexed by
+// (prefix row x sorted neighbor slot); the decision process scans a per-row
+// usable-bitmap instead of probing once per neighbor, and queries fill
+// caller-supplied scratch buffers, so the steady-state message path
+// allocates nothing. LocRib keeps one append-only slot per prefix.
 //
-//   kFlat  The data-plane backend. Cells live in one slab indexed by
-//          (prefix row x sorted neighbor slot); the decision process scans a
-//          per-row usable-bitmap instead of hashing once per neighbor, and
-//          queries fill caller-supplied scratch buffers, so the steady-state
-//          message path allocates nothing.
-//   kMap   The reference backend: the original nested unordered_map code,
-//          kept verbatim for differential testing (the golden-trace digests
-//          must agree bit-for-bit across backends).
-//
-// Enumeration-order contract: the simulation's event order — and therefore
-// the golden trace — depends on the order prefixes_from()/prefixes() return
-// prefixes in (session resets and export-tap replays walk them). The kMap
-// backend inherits that order from its unordered_maps; kFlat reproduces it
-// exactly by maintaining mirror unordered_maps with the identical
-// insert/erase history and enumerating those. libstdc++ iteration order is a
-// deterministic function of the key hashes and the structural-operation
-// history, so the mirrors stay in lock-step with what the reference maps
-// would have done.
+// Enumeration-order contract: prefixes_from() and prefixes() return prefixes
+// in ascending pack(prefix) order, read off the sorted prefix directories.
+// The simulation's event order (and therefore the golden trace) depends on
+// this order, because session resets and export-tap replays walk it, so it
+// is defined by the prefixes alone: it does not depend on the
+// install/withdraw history or on any standard-library container layout.
 #pragma once
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "bgp/message.hpp"
 #include "topology/as_graph.hpp"
-#include "util/node_pool.hpp"
 
 namespace because::bgp {
-
-enum class RibBackend : std::uint8_t { kFlat, kMap };
 
 struct AdjRibInEntry {
   Route route;
@@ -52,11 +39,9 @@ struct RibCandidate {
 
 class AdjRibIn {
  public:
-  explicit AdjRibIn(RibBackend backend = RibBackend::kFlat);
-
-  /// Declare a neighbor slot (kFlat sizes its rows from these). The Router
-  /// calls this from connect(); adding a neighbor after routes exist
-  /// rebuilds the slab, which is fine at wiring time and rare after.
+  /// Declare a neighbor slot (rows are sized from these). The Router calls
+  /// this from connect(); adding a neighbor after routes exist rebuilds the
+  /// slab, which is fine at wiring time and rare after.
   void add_neighbor(topology::AsId neighbor);
 
   /// Install/replace the route from `neighbor`. Preserves nothing from a
@@ -76,7 +61,7 @@ class AdjRibIn {
   void usable(const Prefix& prefix, std::vector<RibCandidate>& out) const;
 
   /// Fill `out` (cleared first) with the prefixes currently known from
-  /// `neighbor` (suppressed entries included), in reference-backend order.
+  /// `neighbor` (suppressed entries included), in ascending pack() order.
   void prefixes_from(topology::AsId neighbor, std::vector<Prefix>& out) const;
 
   /// Exact (neighbor, prefix) announcement memory for RFD classification:
@@ -85,10 +70,9 @@ class AdjRibIn {
   void note_seen(topology::AsId neighbor, const Prefix& prefix);
   bool seen(topology::AsId neighbor, const Prefix& prefix) const;
 
-  std::size_t route_count() const;
-  RibBackend backend() const { return backend_; }
+  std::size_t route_count() const { return route_count_; }
 
-  // One-entry-memo effectiveness (kFlat row/slot lookups). Flushed to the obs
+  // One-entry-memo effectiveness (row/slot lookups). Flushed to the obs
   // registry by ~Router — AdjRibIn itself must stay destructor-free so Router
   // remains movable.
   std::uint64_t memo_hits() const { return memo_hits_; }
@@ -110,9 +94,6 @@ class AdjRibIn {
   bool test_bit(const std::vector<std::uint64_t>& bits, std::uint32_t row,
                 std::size_t slot) const;
 
-  RibBackend backend_;
-
-  // -- kFlat state -----------------------------------------------------------
   std::vector<topology::AsId> neighbor_ids_;  // sorted; index = slot
   std::size_t stride_ = 0;                    // cells per row
   std::size_t words_ = 0;                     // bitmap words per row
@@ -133,20 +114,7 @@ class AdjRibIn {
   mutable std::size_t cached_slot_ = static_cast<std::size_t>(-1);
   mutable std::uint64_t memo_hits_ = 0;
   mutable std::uint64_t memo_misses_ = 0;
-  /// Per-slot enumeration mirrors (see the order contract above), node-pooled
-  /// so steady-state withdraw/re-announce churn stops hitting malloc. The
-  /// pool must be declared before the mirrors it backs.
-  using MirrorMap =
-      std::unordered_map<Prefix, char, std::hash<Prefix>, std::equal_to<Prefix>,
-                         util::PoolAllocator<std::pair<const Prefix, char>>>;
-  util::NodePool mirror_pool_;
-  std::vector<MirrorMap> mirror_;
   std::size_t route_count_ = 0;
-
-  // -- kMap state (the original storage, kept as the reference) --------------
-  std::unordered_map<topology::AsId, std::unordered_map<Prefix, AdjRibInEntry>>
-      entries_;
-  std::unordered_map<topology::AsId, std::unordered_set<std::uint64_t>> seen_;
 };
 
 /// Best route selected for a prefix.
@@ -158,19 +126,17 @@ struct Selected {
 
 class LocRib {
  public:
-  explicit LocRib(RibBackend backend = RibBackend::kFlat);
-
   /// Install/replace the best route. Returns the stored entry, so decision
   /// code can propagate without an immediate find() of what it just wrote.
   const Selected* select(const Prefix& prefix, const Selected& selected);
   bool remove(const Prefix& prefix);
   const Selected* find(const Prefix& prefix) const;
 
-  /// Fill `out` (cleared first) with all selected prefixes, in
-  /// reference-backend order (see the order contract above).
+  /// Fill `out` (cleared first) with all selected prefixes, in ascending
+  /// pack() order (see the order contract above).
   void prefixes(std::vector<Prefix>& out) const;
 
-  std::size_t size() const;
+  std::size_t size() const { return size_; }
 
   // One-entry-memo effectiveness; flushed by ~Router (see AdjRibIn note).
   std::uint64_t memo_hits() const { return memo_hits_; }
@@ -179,9 +145,7 @@ class LocRib {
  private:
   std::ptrdiff_t find_slot(const Prefix& prefix) const;  // -1 = absent
 
-  RibBackend backend_;
-
-  // -- kFlat state -----------------------------------------------------------
+  /// Sorted (pack(prefix), slot) directory; slots are append-only.
   std::vector<std::pair<std::uint64_t, std::uint32_t>> slots_index_;
   std::vector<Selected> slots_;
   std::vector<char> occupied_;
@@ -191,16 +155,7 @@ class LocRib {
   mutable std::uint32_t cached_slot_ = 0;
   mutable std::uint64_t memo_hits_ = 0;
   mutable std::uint64_t memo_misses_ = 0;
-  /// Enumeration mirror, node-pooled like AdjRibIn's (pool declared first).
-  using MirrorMap =
-      std::unordered_map<Prefix, char, std::hash<Prefix>, std::equal_to<Prefix>,
-                         util::PoolAllocator<std::pair<const Prefix, char>>>;
-  util::NodePool mirror_pool_;
-  MirrorMap mirror_{MirrorMap::allocator_type(&mirror_pool_)};
   std::size_t size_ = 0;
-
-  // -- kMap state ------------------------------------------------------------
-  std::unordered_map<Prefix, Selected> best_;
 };
 
 }  // namespace because::bgp

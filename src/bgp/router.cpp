@@ -24,12 +24,8 @@ bool DampingRule::matches(topology::Relation neighbor_relation,
 }
 
 Router::Router(topology::AsId id, sim::EventQueue& queue,
-               topology::PathTable& paths, RibBackend rib_backend)
-    : id_(id),
-      queue_(queue),
-      paths_(&paths),
-      adj_rib_in_(rib_backend),
-      loc_rib_(rib_backend) {}
+               topology::PathTable& paths)
+    : id_(id), queue_(queue), paths_(&paths) {}
 
 Router::~Router() {
   if (!obs::enabled()) return;
@@ -268,20 +264,6 @@ void Router::schedule_release(topology::AsId from, const Prefix& prefix,
   rfd::Damper* damper = damper_for(from, prefix);
   if (damper == nullptr) return;
   const sim::Duration delay = damper->time_until_reuse(prefix, queue_.now());
-  if (queue_.backend() == sim::EngineBackend::kFunctionHeap) {
-    // Reference path: per-timer closure, as the pre-calendar engine did.
-    queue_.schedule_in(delay, [this, from, prefix, generation] {
-      rfd::Damper* d = damper_for(from, prefix);
-      if (d == nullptr) return;
-      if (d->try_release(prefix, generation, queue_.now())) {
-        obs::trace_instant("rfd.release", queue_.now(),
-                           static_cast<std::int64_t>(from));
-        adj_rib_in_.set_suppressed(from, prefix, false);
-        run_decision(prefix);
-      }
-    });
-    return;
-  }
   std::uint32_t slot;
   if (!free_releases_.empty()) {
     slot = free_releases_.back();

@@ -57,8 +57,7 @@ class Router {
   /// `paths` is the interning table every Update/Route handle refers to; it
   /// must be shared with whoever sends to / receives from this router and
   /// must outlive it.
-  Router(topology::AsId id, sim::EventQueue& queue, topology::PathTable& paths,
-         RibBackend rib_backend = RibBackend::kFlat);
+  Router(topology::AsId id, sim::EventQueue& queue, topology::PathTable& paths);
   Router(const Router&) = delete;
   Router& operator=(const Router&) = delete;
   /// Publishes receive/memo tallies (including the RIBs' memo counters —

@@ -126,13 +126,6 @@ void Session::submit(const Update& update, sim::EventQueue& queue) {
   }
   state.pending = update;
   state.flush_scheduled = true;
-  if (queue.backend() == sim::EngineBackend::kFunctionHeap) {
-    // Reference path: per-timer closure, as the pre-calendar engine did.
-    const Prefix prefix = update.prefix;
-    queue.schedule_at(state.next_allowed_at,
-                      [this, prefix, &queue] { flush(prefix, queue); });
-    return;
-  }
   queue.schedule_event_at(state.next_allowed_at, sim::EventKind::kMraiTimer,
                           &Session::flush_event, this, pack(update.prefix));
 }

@@ -1,5 +1,5 @@
-// AVX2 kernel definitions: four observation lanes (or eight batched target
-// lanes in two registers) per step.
+// AVX2 kernel definitions: four observation lanes per step (the ll_sum fold
+// keeps its eight fold lanes in two registers).
 //
 // Compiled with -mavx2 -ffp-contract=off and WITHOUT -mfma: the probability
 // affine map stays a separate IEEE multiply and add, so every lane computes
@@ -97,20 +97,6 @@ inline RangeSplit split_range(const labeling::BlockedLayout& layout,
   return {head, std::max(head, tail)};
 }
 
-void obs_probs_avx2(const DatasetView& d, const double* q, const ObsCoeffs& c,
-                    std::size_t begin, std::size_t end, double* out) {
-  const labeling::BlockedLayout& layout = *d.blocked;
-  const RangeSplit r = split_range(layout, begin, end);
-  kScalarTable.obs_probs(d, q, c, begin, r.vec_begin, out);
-  for (std::size_t j = r.vec_begin; j < r.vec_end; j += 4) {
-    const __m256d prod = block_pair_product(layout, j / 4, q);
-    const __m256d probs =
-        block_probs(prod, mask_for(block_label_bits(d.labels, j)), c);
-    _mm256_storeu_pd(out + (j - begin), probs);
-  }
-  kScalarTable.obs_probs(d, q, c, r.vec_end, end, out + (r.vec_end - begin));
-}
-
 void grad_weights_avx2(const DatasetView& d, const double* q,
                        const ObsCoeffs& c, std::size_t begin, std::size_t end,
                        double* out) {
@@ -152,48 +138,13 @@ void path_products_avx2(const DatasetView& d, const double* q,
                              out + (r.vec_end - begin));
 }
 
-void log_fold8_avx2(const double* rows, std::size_t n_rows, double* acc,
-                    double* total) {
-  const __m256d direct = _mm256_set1_pd(kFoldDirectLog);
-  const __m256d flush = _mm256_set1_pd(kFoldFlush);
-  __m256d acc_lo = _mm256_loadu_pd(acc), acc_hi = _mm256_loadu_pd(acc + 4);
-  for (std::size_t r = 0; r < n_rows; ++r) {
-    const double* row = rows + r * kBatchLanes;
-    const __m256d row_lo = _mm256_loadu_pd(row);
-    const __m256d row_hi = _mm256_loadu_pd(row + 4);
-    const __m256d next_lo = _mm256_mul_pd(acc_lo, row_lo);
-    const __m256d next_hi = _mm256_mul_pd(acc_hi, row_hi);
-    // A row is fast iff no lane crosses a fold threshold; then fold_one
-    // reduces to acc *= prob in every lane, which `next` already is.
-    const __m256d slow_lo =
-        _mm256_or_pd(_mm256_cmp_pd(row_lo, direct, _CMP_LT_OQ),
-                     _mm256_cmp_pd(next_lo, flush, _CMP_LT_OQ));
-    const __m256d slow_hi =
-        _mm256_or_pd(_mm256_cmp_pd(row_hi, direct, _CMP_LT_OQ),
-                     _mm256_cmp_pd(next_hi, flush, _CMP_LT_OQ));
-    if (_mm256_movemask_pd(_mm256_or_pd(slow_lo, slow_hi)) == 0) {
-      acc_lo = next_lo;
-      acc_hi = next_hi;
-      continue;
-    }
-    _mm256_storeu_pd(acc, acc_lo);
-    _mm256_storeu_pd(acc + 4, acc_hi);
-    for (std::size_t k = 0; k < kBatchLanes; ++k)
-      fold_one(row[k], acc[k], total[k]);
-    acc_lo = _mm256_loadu_pd(acc);
-    acc_hi = _mm256_loadu_pd(acc + 4);
-  }
-  _mm256_storeu_pd(acc, acc_lo);
-  _mm256_storeu_pd(acc + 4, acc_hi);
-}
-
 double ll_sum_avx2(const DatasetView& d, const double* q,
                    const ObsCoeffs& c) {
   const labeling::BlockedLayout& layout = *d.sorted;  // width 4
   const __m256d direct = _mm256_set1_pd(kFoldDirectLog);
   const __m256d flush = _mm256_set1_pd(kFoldFlush);
-  double total[kBatchLanes] = {0.0};
-  double acc[kBatchLanes];
+  double total[kFoldLanes] = {0.0};
+  double acc[kFoldLanes];
   for (double& a : acc) a = 1.0;
   __m256d facc_lo = _mm256_loadu_pd(acc);
   __m256d facc_hi = _mm256_loadu_pd(acc + 4);
@@ -220,12 +171,12 @@ double ll_sum_avx2(const DatasetView& d, const double* q,
       facc_hi = next_hi;
       continue;
     }
-    double row[kBatchLanes];
+    double row[kFoldLanes];
     _mm256_storeu_pd(row, probs_lo);
     _mm256_storeu_pd(row + 4, probs_hi);
     _mm256_storeu_pd(acc, facc_lo);
     _mm256_storeu_pd(acc + 4, facc_hi);
-    for (std::size_t k = 0; k < kBatchLanes; ++k)
+    for (std::size_t k = 0; k < kFoldLanes; ++k)
       fold_one(row[k], acc[k], total[k]);
     facc_lo = _mm256_loadu_pd(acc);
     facc_hi = _mm256_loadu_pd(acc + 4);
@@ -234,7 +185,7 @@ double ll_sum_avx2(const DatasetView& d, const double* q,
   _mm256_storeu_pd(acc + 4, facc_hi);
   // A leftover width-4 block (blocks odd) and the unblocked tail replay
   // the identical per-observation sequence from perm position pairs * 8.
-  ll_sum_fold_range(d, q, c, pairs * kBatchLanes, d.paths, acc, total);
+  ll_sum_fold_range(d, q, c, pairs * kFoldLanes, d.paths, acc, total);
   return ll_sum_combine(acc, total);
 }
 
@@ -263,98 +214,6 @@ void grad_accumulate_avx2(const DatasetView& d, const TransposedView& t,
   }
 }
 
-/// Batched helpers: eight target lanes live in two 256-bit halves.
-inline void batched_row(const double* row, __m256d& lo, __m256d& hi) {
-  lo = _mm256_loadu_pd(row);
-  hi = _mm256_loadu_pd(row + 4);
-}
-
-void batched_obs_probs_avx2(const DatasetView& d, const double* q_soa,
-                            const std::uint8_t* label_masks,
-                            const ObsCoeffs& c, std::size_t begin,
-                            std::size_t end, double* out) {
-  for (std::size_t j = begin; j < end; ++j) {
-    __m256d acc_lo = _mm256_set1_pd(1.0), acc_hi = _mm256_set1_pd(1.0);
-    for (std::size_t e = d.offsets[j]; e < d.offsets[j + 1]; ++e) {
-      __m256d lo, hi;
-      batched_row(q_soa + d.nodes[e] * kBatchLanes, lo, hi);
-      acc_lo = _mm256_mul_pd(acc_lo, lo);
-      acc_hi = _mm256_mul_pd(acc_hi, hi);
-    }
-    const std::uint8_t mask = label_masks[j];
-    const __m256d probs_lo = block_probs(acc_lo, mask_for(mask & 0xF), c);
-    const __m256d probs_hi = block_probs(acc_hi, mask_for(mask >> 4), c);
-    _mm256_storeu_pd(out + (j - begin) * kBatchLanes, probs_lo);
-    _mm256_storeu_pd(out + (j - begin) * kBatchLanes + 4, probs_hi);
-  }
-}
-
-void batched_posterior_avx2(const DatasetView& d, const double* q_soa,
-                            const std::uint8_t* label_masks,
-                            const ObsCoeffs& c, double* acc_io,
-                            double* total_io, double* grad_soa) {
-  const __m256d direct = _mm256_set1_pd(kFoldDirectLog);
-  const __m256d flush = _mm256_set1_pd(kFoldFlush);
-  __m256d facc_lo = _mm256_loadu_pd(acc_io);
-  __m256d facc_hi = _mm256_loadu_pd(acc_io + 4);
-  for (std::size_t j = 0; j < d.paths; ++j) {
-    __m256d acc_lo = _mm256_set1_pd(1.0), acc_hi = _mm256_set1_pd(1.0);
-    for (std::size_t e = d.offsets[j]; e < d.offsets[j + 1]; ++e) {
-      __m256d lo, hi;
-      batched_row(q_soa + d.nodes[e] * kBatchLanes, lo, hi);
-      acc_lo = _mm256_mul_pd(acc_lo, lo);
-      acc_hi = _mm256_mul_pd(acc_hi, hi);
-    }
-    const std::uint8_t mask = label_masks[j];
-    const __m256d mask_lo = mask_for(mask & 0xF), mask_hi = mask_for(mask >> 4);
-    const __m256d probs_lo = block_probs(acc_lo, mask_lo, c);
-    const __m256d probs_hi = block_probs(acc_hi, mask_hi, c);
-    // Fold the row exactly as log_fold8 does: fast path when no lane
-    // crosses a threshold, shared scalar fold_one otherwise.
-    const __m256d next_lo = _mm256_mul_pd(facc_lo, probs_lo);
-    const __m256d next_hi = _mm256_mul_pd(facc_hi, probs_hi);
-    const __m256d slow_lo =
-        _mm256_or_pd(_mm256_cmp_pd(probs_lo, direct, _CMP_LT_OQ),
-                     _mm256_cmp_pd(next_lo, flush, _CMP_LT_OQ));
-    const __m256d slow_hi =
-        _mm256_or_pd(_mm256_cmp_pd(probs_hi, direct, _CMP_LT_OQ),
-                     _mm256_cmp_pd(next_hi, flush, _CMP_LT_OQ));
-    if (_mm256_movemask_pd(_mm256_or_pd(slow_lo, slow_hi)) == 0) {
-      facc_lo = next_lo;
-      facc_hi = next_hi;
-    } else {
-      double row[kBatchLanes];
-      _mm256_storeu_pd(row, probs_lo);
-      _mm256_storeu_pd(row + 4, probs_hi);
-      _mm256_storeu_pd(acc_io, facc_lo);
-      _mm256_storeu_pd(acc_io + 4, facc_hi);
-      for (std::size_t k = 0; k < kBatchLanes; ++k)
-        fold_one(row[k], acc_io[k], total_io[k]);
-      facc_lo = _mm256_loadu_pd(acc_io);
-      facc_hi = _mm256_loadu_pd(acc_io + 4);
-    }
-    const __m256d c1_lo = _mm256_blendv_pd(_mm256_set1_pd(c.c1[0]),
-                                           _mm256_set1_pd(c.c1[1]), mask_lo);
-    const __m256d c1_hi = _mm256_blendv_pd(_mm256_set1_pd(c.c1[0]),
-                                           _mm256_set1_pd(c.c1[1]), mask_hi);
-    const __m256d w_lo =
-        _mm256_mul_pd(_mm256_sub_pd(_mm256_setzero_pd(), c1_lo),
-                      _mm256_div_pd(acc_lo, probs_lo));
-    const __m256d w_hi =
-        _mm256_mul_pd(_mm256_sub_pd(_mm256_setzero_pd(), c1_hi),
-                      _mm256_div_pd(acc_hi, probs_hi));
-    // A path never repeats a node, so the row scatter has no within-path
-    // read-after-write hazard.
-    for (std::size_t e = d.offsets[j]; e < d.offsets[j + 1]; ++e) {
-      double* g = grad_soa + d.nodes[e] * kBatchLanes;
-      _mm256_storeu_pd(g, _mm256_add_pd(_mm256_loadu_pd(g), w_lo));
-      _mm256_storeu_pd(g + 4, _mm256_add_pd(_mm256_loadu_pd(g + 4), w_hi));
-    }
-  }
-  _mm256_storeu_pd(acc_io, facc_lo);
-  _mm256_storeu_pd(acc_io + 4, facc_hi);
-}
-
 void clamp_q_avx2(const double* p, double* q, std::size_t n) {
   const __m256d one = _mm256_set1_pd(1.0);
   const __m256d floor = _mm256_set1_pd(kQFloor);
@@ -370,11 +229,8 @@ void clamp_q_avx2(const double* p, double* q, std::size_t n) {
 }  // namespace
 
 const KernelTable kAvx2Table = {
-    clamp_q_avx2,        obs_probs_avx2,
-    grad_weights_avx2,   path_products_avx2,
-    log_fold8_avx2,      ll_sum_avx2,
-    grad_accumulate_avx2,
-    batched_obs_probs_avx2, batched_posterior_avx2,
+    clamp_q_avx2,         grad_weights_avx2, path_products_avx2,
+    ll_sum_avx2,          grad_accumulate_avx2,
     /*lane_width=*/4,
 };
 

@@ -1,5 +1,4 @@
-// AVX-512 kernel definitions: eight observation lanes (or the full batched
-// target group in one register) per step.
+// AVX-512 kernel definitions: eight observation lanes per step.
 //
 // Compiled with -mavx512f -mavx512dq -mavx512vl -ffp-contract=off and
 // WITHOUT -mfma, mirroring the AVX2 translation unit: all lane arithmetic
@@ -71,21 +70,6 @@ inline RangeSplit split_range(const labeling::BlockedLayout& layout,
   return {head, std::max(head, tail)};
 }
 
-void obs_probs_avx512(const DatasetView& d, const double* q,
-                      const ObsCoeffs& c, std::size_t begin, std::size_t end,
-                      double* out) {
-  const labeling::BlockedLayout& layout = *d.blocked;
-  const RangeSplit r = split_range(layout, begin, end);
-  kScalarTable.obs_probs(d, q, c, begin, r.vec_begin, out);
-  for (std::size_t j = r.vec_begin; j < r.vec_end; j += 8) {
-    const __m512d prod = block_pair_product(layout, j / 8, q);
-    const __m512d probs =
-        block_probs(prod, block_label_bits(d.labels, j), c);
-    _mm512_storeu_pd(out + (j - begin), probs);
-  }
-  kScalarTable.obs_probs(d, q, c, r.vec_end, end, out + (r.vec_end - begin));
-}
-
 void grad_weights_avx512(const DatasetView& d, const double* q,
                          const ObsCoeffs& c, std::size_t begin,
                          std::size_t end, double* out) {
@@ -126,38 +110,13 @@ void path_products_avx512(const DatasetView& d, const double* q,
                              out + (r.vec_end - begin));
 }
 
-void log_fold8_avx512(const double* rows, std::size_t n_rows, double* acc,
-                      double* total) {
-  const __m512d direct = _mm512_set1_pd(kFoldDirectLog);
-  const __m512d flush = _mm512_set1_pd(kFoldFlush);
-  __m512d vacc = _mm512_loadu_pd(acc);
-  for (std::size_t r = 0; r < n_rows; ++r) {
-    const __m512d row = _mm512_loadu_pd(rows + r * kBatchLanes);
-    const __m512d next = _mm512_mul_pd(vacc, row);
-    // A row is fast iff no lane crosses a fold threshold; then fold_one
-    // reduces to acc *= prob in every lane, which `next` already is.
-    const __mmask8 slow =
-        static_cast<__mmask8>(_mm512_cmp_pd_mask(row, direct, _CMP_LT_OQ) |
-                              _mm512_cmp_pd_mask(next, flush, _CMP_LT_OQ));
-    if (slow == 0) {
-      vacc = next;
-      continue;
-    }
-    _mm512_storeu_pd(acc, vacc);
-    for (std::size_t k = 0; k < kBatchLanes; ++k)
-      fold_one(rows[r * kBatchLanes + k], acc[k], total[k]);
-    vacc = _mm512_loadu_pd(acc);
-  }
-  _mm512_storeu_pd(acc, vacc);
-}
-
 double ll_sum_avx512(const DatasetView& d, const double* q,
                      const ObsCoeffs& c) {
   const labeling::BlockedLayout& layout = *d.sorted;
   const __m512d direct = _mm512_set1_pd(kFoldDirectLog);
   const __m512d flush = _mm512_set1_pd(kFoldFlush);
-  double total[kBatchLanes] = {0.0};
-  double acc[kBatchLanes];
+  double total[kFoldLanes] = {0.0};
+  double acc[kFoldLanes];
   for (double& a : acc) a = 1.0;
   __m512d facc = _mm512_loadu_pd(acc);
   const std::size_t blocks = layout.blocks();
@@ -173,10 +132,10 @@ double ll_sum_avx512(const DatasetView& d, const double* q,
       facc = next;
       continue;
     }
-    double row[kBatchLanes];
+    double row[kFoldLanes];
     _mm512_storeu_pd(row, probs);
     _mm512_storeu_pd(acc, facc);
-    for (std::size_t k = 0; k < kBatchLanes; ++k)
+    for (std::size_t k = 0; k < kFoldLanes; ++k)
       fold_one(row[k], acc[k], total[k]);
     facc = _mm512_loadu_pd(acc);
   }
@@ -210,65 +169,6 @@ void grad_accumulate_avx512(const DatasetView& d, const TransposedView& t,
   }
 }
 
-void batched_obs_probs_avx512(const DatasetView& d, const double* q_soa,
-                              const std::uint8_t* label_masks,
-                              const ObsCoeffs& c, std::size_t begin,
-                              std::size_t end, double* out) {
-  for (std::size_t j = begin; j < end; ++j) {
-    __m512d acc = _mm512_set1_pd(1.0);
-    for (std::size_t e = d.offsets[j]; e < d.offsets[j + 1]; ++e)
-      acc = _mm512_mul_pd(
-          acc, _mm512_loadu_pd(q_soa + d.nodes[e] * kBatchLanes));
-    const __m512d probs =
-        block_probs(acc, static_cast<__mmask8>(label_masks[j]), c);
-    _mm512_storeu_pd(out + (j - begin) * kBatchLanes, probs);
-  }
-}
-
-void batched_posterior_avx512(const DatasetView& d, const double* q_soa,
-                              const std::uint8_t* label_masks,
-                              const ObsCoeffs& c, double* acc_io,
-                              double* total_io, double* grad_soa) {
-  const __m512d direct = _mm512_set1_pd(kFoldDirectLog);
-  const __m512d flush = _mm512_set1_pd(kFoldFlush);
-  __m512d facc = _mm512_loadu_pd(acc_io);
-  for (std::size_t j = 0; j < d.paths; ++j) {
-    __m512d acc = _mm512_set1_pd(1.0);
-    for (std::size_t e = d.offsets[j]; e < d.offsets[j + 1]; ++e)
-      acc = _mm512_mul_pd(
-          acc, _mm512_loadu_pd(q_soa + d.nodes[e] * kBatchLanes));
-    const __mmask8 labels = static_cast<__mmask8>(label_masks[j]);
-    const __m512d probs = block_probs(acc, labels, c);
-    // Fold the row exactly as log_fold8 does: fast path when no lane
-    // crosses a threshold, shared scalar fold_one otherwise.
-    const __m512d next = _mm512_mul_pd(facc, probs);
-    const __mmask8 slow =
-        static_cast<__mmask8>(_mm512_cmp_pd_mask(probs, direct, _CMP_LT_OQ) |
-                              _mm512_cmp_pd_mask(next, flush, _CMP_LT_OQ));
-    if (slow == 0) {
-      facc = next;
-    } else {
-      double row[kBatchLanes];
-      _mm512_storeu_pd(row, probs);
-      _mm512_storeu_pd(acc_io, facc);
-      for (std::size_t k = 0; k < kBatchLanes; ++k)
-        fold_one(row[k], acc_io[k], total_io[k]);
-      facc = _mm512_loadu_pd(acc_io);
-    }
-    const __m512d c1 = _mm512_mask_blend_pd(labels, _mm512_set1_pd(c.c1[0]),
-                                            _mm512_set1_pd(c.c1[1]));
-    const __m512d w = _mm512_mul_pd(_mm512_sub_pd(_mm512_setzero_pd(), c1),
-                                    _mm512_div_pd(acc, probs));
-    // A path never repeats a node, so the row scatter has no within-path
-    // read-after-write hazard.
-    for (std::size_t e = d.offsets[j]; e < d.offsets[j + 1]; ++e) {
-      double* g = grad_soa + d.nodes[e] * kBatchLanes;
-      _mm512_storeu_pd(g, _mm512_add_pd(_mm512_loadu_pd(g), w));
-    }
-  }
-  _mm512_storeu_pd(acc_io, facc);
-}
-
 void clamp_q_avx512(const double* p, double* q, std::size_t n) {
   const __m512d one = _mm512_set1_pd(1.0);
   const __m512d floor = _mm512_set1_pd(kQFloor);
@@ -283,11 +183,8 @@ void clamp_q_avx512(const double* p, double* q, std::size_t n) {
 }  // namespace
 
 const KernelTable kAvx512Table = {
-    clamp_q_avx512,        obs_probs_avx512,
-    grad_weights_avx512,   path_products_avx512,
-    log_fold8_avx512,      ll_sum_avx512,
-    grad_accumulate_avx512,
-    batched_obs_probs_avx512, batched_posterior_avx512,
+    clamp_q_avx512,         grad_weights_avx512, path_products_avx512,
+    ll_sum_avx512,          grad_accumulate_avx512,
     /*lane_width=*/8,
 };
 

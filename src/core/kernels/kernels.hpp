@@ -1,5 +1,5 @@
 // Likelihood kernel table: the per-ISA implementations behind
-// core::Likelihood and core::BatchedLikelihood.
+// core::Likelihood.
 //
 // Every entry point here has one scalar definition (scalar.cpp, baseline
 // flags) and optional AVX2 / AVX-512 definitions compiled in their own
@@ -14,21 +14,16 @@
 // lane-blocked index layout) so each path's product is evaluated with
 // exactly the scalar association:
 //
-//   * obs_probs / grad_weights use the two-accumulator even/odd product
+//   * ll_sum / grad_weights use the two-accumulator even/odd product
 //     (positions 0,2,4,.. -> a; 1,3,5,.. -> b; prob = c0 + c1 * a*b),
 //   * path_products uses the straight in-order product (the Metropolis
 //     product-cache semantics),
-//   * batched_* kernels lane-map targets instead of paths and reduce each
-//     target's product strictly in path-element order,
-//   * log_fold8 is elementwise over 8 interleaved fold lanes (rows of 8
-//     consecutive observations), with a shared scalar slow path for rows
-//     near the fold thresholds,
+//   * ll_sum folds into 8 interleaved fold lanes (rows of 8 consecutive
+//     sorted observations), with a shared scalar slow path for rows near
+//     the fold thresholds,
 //   * grad_accumulate sums per node over the transposed CSR in ascending
 //     observation order — the exact addition sequence the forward
-//     path-order scatter produces per node,
-//   * batched_posterior scatters gradient weight rows in ascending path
-//     order and folds probabilities with the log_fold8 recurrence, so its
-//     results are bitwise those of the unfused batched stages.
+//     path-order scatter produces per node.
 //
 // Padding lanes multiply by q[sentinel] == 1.0, an exact identity, and the
 // kernel translation units are compiled with -ffp-contract=off so no FMA
@@ -54,9 +49,9 @@ inline constexpr double kQFloor = 1e-12;
 /// Floor for observation probabilities; must equal Likelihood::kProbFloor.
 inline constexpr double kProbFloor = 1e-300;
 
-/// Targets per SIMD group in the batched kernels: one AVX-512 register, two
-/// AVX2 registers, or an 8-iteration scalar loop per path element.
-inline constexpr std::size_t kBatchLanes = 8;
+/// Interleaved log-fold lanes of the ll_sum sweep: one AVX-512 register, two
+/// AVX2 registers, or an 8-iteration scalar loop per fold row.
+inline constexpr std::size_t kFoldLanes = 8;
 
 /// Log-fold thresholds: probabilities below kFoldDirectLog take their log
 /// directly (too small to fold into the running product safely); when the
@@ -66,7 +61,7 @@ inline constexpr double kFoldFlush = 1e-270;
 
 /// One step of the underflow-guarded log-fold: total += log(prod of probs)
 /// evaluated with a running product `acc` that flushes to `total` before it
-/// can underflow. This is the lane-local scalar recurrence that log_fold8
+/// can underflow. This is the lane-local scalar recurrence that ll_sum
 /// vectorizes; the slow (flush) path of every level calls exactly this.
 inline void fold_one(double prob, double& acc, double& total) {
   if (prob < kFoldDirectLog) {
@@ -97,7 +92,7 @@ struct DatasetView {
   std::size_t paths = 0;
   /// Length-sorted forward layout for ll_sum (every level reads its perm;
   /// vector levels also gather through it). Null for callers that never
-  /// invoke ll_sum (the batched wrappers).
+  /// invoke ll_sum.
   const labeling::BlockedLayout* sorted = nullptr;
 };
 
@@ -116,15 +111,10 @@ struct TransposedView {
 };
 
 /// One dispatch level's kernel set. All `q` pointers reference a buffer of
-/// dim + 1 entries with q[dim] == 1.0 (the gather sentinel); `q_soa`
-/// pointers reference dim * kBatchLanes entries, node-major.
+/// dim + 1 entries with q[dim] == 1.0 (the gather sentinel).
 struct KernelTable {
   /// q[i] = clamp(1 - p[i]) into [kQFloor, 1] for i < n.
   void (*clamp_q)(const double* p, double* q, std::size_t n);
-
-  /// out[j - begin] = P(observation j | q) for j in [begin, end).
-  void (*obs_probs)(const DatasetView& d, const double* q, const ObsCoeffs& c,
-                    std::size_t begin, std::size_t end, double* out);
 
   /// out[j - begin] = per-path gradient weight -c1 * prod_j / P_j.
   void (*grad_weights)(const DatasetView& d, const double* q,
@@ -134,15 +124,6 @@ struct KernelTable {
   /// out[j - begin] = in-order product of q over path j (Metropolis cache).
   void (*path_products)(const DatasetView& d, const double* q,
                         std::size_t begin, std::size_t end, double* out);
-
-  /// Fold n_rows rows of 8 probabilities into 8 lane-local (acc, total)
-  /// log-fold states (see fold_one). Lane k of row r is rows[r * 8 + k];
-  /// every lane follows exactly the fold_one recurrence, so the result is
-  /// elementwise bit-identical across levels. Vector levels multiply all 8
-  /// lanes at once and fall back to fold_one only on rows where some lane
-  /// crosses a fold threshold (rare: once per ~270 decades of probability).
-  void (*log_fold8)(const double* rows, std::size_t n_rows, double* acc,
-                    double* total);
 
   /// Whole-likelihood fused sweep: observation t (in d.sorted->perm order)
   /// folds its probability into lane t mod 8, and the per-lane (total, acc)
@@ -163,29 +144,6 @@ struct KernelTable {
   /// Overwrites grad[0..t.nodes).
   void (*grad_accumulate)(const DatasetView& d, const TransposedView& t,
                           const double* weights, double* grad);
-
-  /// Batched targets: out[(j - begin) * kBatchLanes + k] = P(observation j
-  /// under target k's q and label). Bit k of label_masks[j] is target k's
-  /// label for path j.
-  void (*batched_obs_probs)(const DatasetView& d, const double* q_soa,
-                            const std::uint8_t* label_masks,
-                            const ObsCoeffs& c, std::size_t begin,
-                            std::size_t end, double* out);
-
-  /// Fused batched posterior sweep: one walk over all paths that (a) folds
-  /// every observation's 8 target probabilities into the 8 (acc, total)
-  /// log-fold states — the exact batched_obs_probs + log_fold8 sequence —
-  /// and (b) scatters the per-target gradient weight rows
-  /// -c1 * prod_jk / P_jk into grad_soa[node * kBatchLanes + k] for every
-  /// node on path j, in ascending-j order. The caller initializes acc to
-  /// 1.0, total to 0.0, and zeroes grad_soa (dim * kBatchLanes entries),
-  /// then applies the final 1/q scaling. Sharing the product walk is what
-  /// amortizes the batch: probabilities and weights come from one CSR pass
-  /// instead of two, with no staged probability or weight-row buffers.
-  void (*batched_posterior)(const DatasetView& d, const double* q_soa,
-                            const std::uint8_t* label_masks,
-                            const ObsCoeffs& c, double* acc, double* total,
-                            double* grad_soa);
 
   /// Lane-blocked layout width this level gathers through (0 = none).
   std::size_t lane_width;
@@ -210,7 +168,7 @@ double scalar_seq_product(const std::uint32_t* nodes, std::size_t lo,
                           std::size_t hi, const double* q);
 
 /// Scalar slice of the ll_sum sweep: observations at perm positions
-/// [from, to) fold into lane (position mod kBatchLanes) via fold_one, with
+/// [from, to) fold into lane (position mod kFoldLanes) via fold_one, with
 /// each probability computed by the scalar pair product — bit-identical to
 /// the vector blocks, which is why every level uses it for the unblocked
 /// sorted tail.
@@ -223,7 +181,7 @@ void ll_sum_fold_range(const DatasetView& d, const double* q,
 /// of 8 residual accs could underflow).
 inline double ll_sum_combine(const double* acc, const double* total) {
   double sum = 0.0;
-  for (std::size_t k = 0; k < kBatchLanes; ++k)
+  for (std::size_t k = 0; k < kFoldLanes; ++k)
     sum += total[k] + std::log(acc[k]);
   return sum;
 }

@@ -46,17 +46,6 @@ void clamp_q_scalar(const double* p, double* q, std::size_t n) {
     q[i] = std::max(kQFloor, std::min(1.0, 1.0 - p[i]));
 }
 
-void obs_probs_scalar(const DatasetView& d, const double* q,
-                      const ObsCoeffs& c, std::size_t begin, std::size_t end,
-                      double* out) {
-  for (std::size_t j = begin; j < end; ++j) {
-    const double prod =
-        scalar_pair_product(d.nodes, d.offsets[j], d.offsets[j + 1], q);
-    const std::size_t label = label_of(d.labels, j);
-    out[j - begin] = std::max(kProbFloor, c.c0[label] + c.c1[label] * prod);
-  }
-}
-
 void grad_weights_scalar(const DatasetView& d, const double* q,
                          const ObsCoeffs& c, std::size_t begin,
                          std::size_t end, double* out) {
@@ -76,13 +65,6 @@ void path_products_scalar(const DatasetView& d, const double* q,
         scalar_seq_product(d.nodes, d.offsets[j], d.offsets[j + 1], q);
 }
 
-void log_fold8_scalar(const double* rows, std::size_t n_rows, double* acc,
-                      double* total) {
-  for (std::size_t r = 0; r < n_rows; ++r)
-    for (std::size_t k = 0; k < kBatchLanes; ++k)
-      fold_one(rows[r * kBatchLanes + k], acc[k], total[k]);
-}
-
 void grad_accumulate_scalar(const DatasetView& d, const TransposedView& t,
                             const double* weights, double* grad) {
   // The forward path-order scatter (the reference accumulation order): the
@@ -96,62 +78,13 @@ void grad_accumulate_scalar(const DatasetView& d, const TransposedView& t,
   }
 }
 
-void batched_obs_probs_scalar(const DatasetView& d, const double* q_soa,
-                              const std::uint8_t* label_masks,
-                              const ObsCoeffs& c, std::size_t begin,
-                              std::size_t end, double* out) {
-  for (std::size_t j = begin; j < end; ++j) {
-    double acc[kBatchLanes];
-    for (double& a : acc) a = 1.0;
-    for (std::size_t e = d.offsets[j]; e < d.offsets[j + 1]; ++e) {
-      const double* row = q_soa + d.nodes[e] * kBatchLanes;
-      for (std::size_t k = 0; k < kBatchLanes; ++k) acc[k] *= row[k];
-    }
-    const std::uint8_t mask = label_masks[j];
-    double* row_out = out + (j - begin) * kBatchLanes;
-    for (std::size_t k = 0; k < kBatchLanes; ++k) {
-      const std::size_t label = (mask >> k) & 1u;
-      row_out[k] = std::max(kProbFloor, c.c0[label] + c.c1[label] * acc[k]);
-    }
-  }
-}
-
 double ll_sum_scalar(const DatasetView& d, const double* q,
                      const ObsCoeffs& c) {
-  double total[kBatchLanes] = {0.0};
-  double acc[kBatchLanes];
+  double total[kFoldLanes] = {0.0};
+  double acc[kFoldLanes];
   for (double& a : acc) a = 1.0;
   ll_sum_fold_range(d, q, c, 0, d.paths, acc, total);
   return ll_sum_combine(acc, total);
-}
-
-void batched_posterior_scalar(const DatasetView& d, const double* q_soa,
-                              const std::uint8_t* label_masks,
-                              const ObsCoeffs& c, double* acc_io,
-                              double* total_io, double* grad_soa) {
-  for (std::size_t j = 0; j < d.paths; ++j) {
-    double acc[kBatchLanes];
-    for (double& a : acc) a = 1.0;
-    for (std::size_t e = d.offsets[j]; e < d.offsets[j + 1]; ++e) {
-      const double* row = q_soa + d.nodes[e] * kBatchLanes;
-      for (std::size_t k = 0; k < kBatchLanes; ++k) acc[k] *= row[k];
-    }
-    const std::uint8_t mask = label_masks[j];
-    double w[kBatchLanes];
-    for (std::size_t k = 0; k < kBatchLanes; ++k) {
-      const std::size_t label = (mask >> k) & 1u;
-      const double prob =
-          std::max(kProbFloor, c.c0[label] + c.c1[label] * acc[k]);
-      fold_one(prob, acc_io[k], total_io[k]);
-      w[k] = -c.c1[label] * (acc[k] / prob);
-    }
-    // A path never repeats a node (add_path collapses duplicates), so the
-    // row scatter has no within-path read-after-write hazard.
-    for (std::size_t e = d.offsets[j]; e < d.offsets[j + 1]; ++e) {
-      double* g = grad_soa + d.nodes[e] * kBatchLanes;
-      for (std::size_t k = 0; k < kBatchLanes; ++k) g[k] += w[k];
-    }
-  }
 }
 
 }  // namespace
@@ -166,16 +99,13 @@ void ll_sum_fold_range(const DatasetView& d, const double* q,
         scalar_pair_product(d.nodes, d.offsets[j], d.offsets[j + 1], q);
     const std::size_t label = label_of(d.labels, j);
     const double prob = std::max(kProbFloor, c.c0[label] + c.c1[label] * prod);
-    fold_one(prob, acc[t % kBatchLanes], total[t % kBatchLanes]);
+    fold_one(prob, acc[t % kFoldLanes], total[t % kFoldLanes]);
   }
 }
 
 const KernelTable kScalarTable = {
-    clamp_q_scalar,       obs_probs_scalar,
-    grad_weights_scalar,  path_products_scalar,
-    log_fold8_scalar,     ll_sum_scalar,
-    grad_accumulate_scalar,
-    batched_obs_probs_scalar, batched_posterior_scalar,
+    clamp_q_scalar,         grad_weights_scalar, path_products_scalar,
+    ll_sum_scalar,          grad_accumulate_scalar,
     /*lane_width=*/0,
 };
 

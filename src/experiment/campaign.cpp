@@ -145,7 +145,7 @@ CampaignResult run_campaign(const CampaignConfig& config) {
   stats::Rng rng(config.seed);
   build_graph_and_plan(config, rng, result);
 
-  sim::EventQueue queue(config.engine);
+  sim::EventQueue queue;
   stats::Rng net_rng = rng.fork();
   auto paths = std::make_shared<topology::PathTable>();
   bgp::Network network(result.graph, config.network, queue, net_rng, paths);
@@ -369,9 +369,6 @@ CampaignResult run_campaign(const CampaignConfig& config) {
 namespace {
 
 CampaignResult run_campaign_sharded(const CampaignConfig& config) {
-  BECAUSE_CHECK(config.engine == sim::EngineBackend::kCalendar,
-                "run_campaign: sharded execution requires the calendar backend");
-
   CampaignResult result;
   result.config = config;
 
@@ -391,7 +388,7 @@ CampaignResult run_campaign_sharded(const CampaignConfig& config) {
   std::vector<std::unique_ptr<sim::EventQueue>> queues;
   bgp::NetworkShards shards;
   for (std::uint32_t s = 0; s < shard_count; ++s) {
-    queues.push_back(std::make_unique<sim::EventQueue>(config.engine));
+    queues.push_back(std::make_unique<sim::EventQueue>());
     queues.back()->bind_seq_counter(&seq_counter);
     shards.queues.push_back(queues.back().get());
     shards.tables.push_back(std::make_shared<topology::PathTable>());

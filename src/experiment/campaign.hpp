@@ -95,11 +95,6 @@ struct CampaignConfig {
   labeling::SignatureConfig signature;
   std::uint64_t seed = 42;
 
-  /// Event-engine backend to drive the simulation with. Both backends are
-  /// observably identical (the golden-trace test pins this); kFunctionHeap is
-  /// kept for before/after benchmarking.
-  sim::EngineBackend engine = sim::EngineBackend::kCalendar;
-
   /// Space-parallel execution (sim/sharded_engine.hpp): partition the AS
   /// graph into this many shards and run them on parallel workers with
   /// conservative synchronization. 0 = the serial engine, byte-identical to
@@ -107,7 +102,7 @@ struct CampaignConfig {
   /// count), whose results are bit-identical at every shard count — and
   /// identical to shards=0 whenever the config draws no record-time
   /// randomness (mrai_jitter == 0, missing_aggregator_prob == 0,
-  /// session_resets == 0). Requires the calendar backend.
+  /// session_resets == 0).
   std::uint32_t shards = 0;
   /// Test hook: run the round capture/merge protocol even with one shard.
   bool force_rounds = false;

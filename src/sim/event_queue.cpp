@@ -26,14 +26,12 @@ constexpr std::uint64_t kWorkPerPopBudget = 32;
 
 }  // namespace
 
-EventQueue::EventQueue(EngineBackend backend) : backend_(backend) {
-  if (backend_ == EngineBackend::kCalendar) {
-    heads_.assign(kMinBuckets, kNil);
-    mask_ = kMinBuckets - 1;
-    width_ = kInitialWidth;
-    cursor_ = 0;
-    cursor_top_ = width_;
-  }
+EventQueue::EventQueue() {
+  heads_.assign(kMinBuckets, kNil);
+  mask_ = kMinBuckets - 1;
+  width_ = kInitialWidth;
+  cursor_ = 0;
+  cursor_top_ = width_;
 }
 
 EventQueue::~EventQueue() {
@@ -73,10 +71,6 @@ Time EventQueue::clamp_past(Time when) {
 void EventQueue::schedule_at(Time when, Action action) {
   when = clamp_past(when);
   ++scheduled_;
-  if (backend_ == EngineBackend::kFunctionHeap) {
-    heap_push(when, EventKind::kClosure, std::move(action));
-    return;
-  }
   if (round_active_) {
     const std::uint32_t call = call_index_++;
     if (when >= horizon_) {
@@ -120,12 +114,6 @@ void EventQueue::schedule_event_at(Time when, EventKind kind, EventFn fn,
                                    std::uint64_t b) {
   when = clamp_past(when);
   ++scheduled_;
-  if (backend_ == EngineBackend::kFunctionHeap) {
-    // The reference engine runs everything as a closure, like the original
-    // std::function heap did.
-    heap_push(when, kind, [this, fn, ctx, a, b] { fn(*this, ctx, a, b); });
-    return;
-  }
   if (round_active_) {
     const std::uint32_t call = call_index_++;
     if (when >= horizon_) {
@@ -188,8 +176,8 @@ void EventQueue::note_pop(Time when, std::uint64_t seq) {
   last_pop_when_ = when;
   last_pop_seq_ = seq;
   popped_any_ = true;
-  // Queue-depth sample per pop; size_ has already been decremented by the
-  // backend, so this is the depth the *next* pop will scan. One predictable
+  // Queue-depth sample per pop; size_ has already been decremented by
+  // cal_pop, so this is the depth the *next* pop will scan. One predictable
   // branch when collection is off.
   if (obs::enabled())
     depth_hist_[obs::histogram_bucket(size_)] += 1;
@@ -208,20 +196,6 @@ void EventQueue::dispatch(const Event& event) {
 
 std::uint64_t EventQueue::run() {
   std::uint64_t count = 0;
-  if (backend_ == EngineBackend::kFunctionHeap) {
-    while (!heap_.empty()) {
-      HeapEntry entry = heap_pop();
-      now_ = entry.when;
-      cur_when_ = entry.when;
-      cur_seq_ = entry.seq;
-      call_index_ = 0;
-      entry.action();
-      ++count;
-      ++executed_;
-      ++executed_by_kind_[static_cast<std::size_t>(entry.kind)];
-    }
-    return count;
-  }
   Event event;
   while (cal_pop(event)) {
     dispatch(event);
@@ -232,59 +206,28 @@ std::uint64_t EventQueue::run() {
 
 std::uint64_t EventQueue::run_until(Time deadline) {
   std::uint64_t count = 0;
-  if (backend_ == EngineBackend::kFunctionHeap) {
-    while (!heap_.empty() && heap_.front().when <= deadline) {
-      HeapEntry entry = heap_pop();
-      now_ = entry.when;
-      cur_when_ = entry.when;
-      cur_seq_ = entry.seq;
-      call_index_ = 0;
-      entry.action();
-      ++count;
-      ++executed_;
-      ++executed_by_kind_[static_cast<std::size_t>(entry.kind)];
+  Event event;
+  while (cal_pop(event)) {
+    if (event.when > deadline) {
+      cal_insert(event);  // keeps its original seq: ordering is unchanged
+      break;
     }
-  } else {
-    Event event;
-    while (cal_pop(event)) {
-      if (event.when > deadline) {
-        cal_insert(event);  // keeps its original seq: ordering is unchanged
-        break;
-      }
-      dispatch(event);
-      ++count;
-    }
+    dispatch(event);
+    ++count;
   }
   if (now_ < deadline) now_ = deadline;
-  if (backend_ == EngineBackend::kCalendar) {
-    // The pop that overshot the deadline may have jumped the cursor to the
-    // deferred event's far-future window (full-cycle fallback). Rewind the
-    // scan to now_'s window, exactly as cal_resize does, so events scheduled
-    // after this call at earlier times are popped first. Safe because every
-    // pending event is now strictly after deadline == now_.
-    cursor_top_ = (now_ / width_) * width_ + width_;
-    cursor_ = bucket_index(now_);
-  }
+  // The pop that overshot the deadline may have jumped the cursor to the
+  // deferred event's far-future window (full-cycle fallback). Rewind the
+  // scan to now_'s window, exactly as cal_resize does, so events scheduled
+  // after this call at earlier times are popped first. Safe because every
+  // pending event is now strictly after deadline == now_.
+  cursor_top_ = (now_ / width_) * width_ + width_;
+  cursor_ = bucket_index(now_);
   return count;
 }
 
-void EventQueue::heap_push(Time when, EventKind kind, Action action) {
-  heap_.push_back(HeapEntry{when, take_seq(), kind, std::move(action)});
-  std::push_heap(heap_.begin(), heap_.end(), Later{});
-  ++size_;
-}
-
-EventQueue::HeapEntry EventQueue::heap_pop() {
-  std::pop_heap(heap_.begin(), heap_.end(), Later{});
-  HeapEntry entry = std::move(heap_.back());
-  heap_.pop_back();
-  --size_;
-  note_pop(entry.when, entry.seq);
-  return entry;
-}
-
 // ---------------------------------------------------------------------------
-// Calendar backend. Buckets partition time into windows of `width_` ms; an
+// Calendar queue. Buckets partition time into windows of `width_` ms; an
 // event lands in bucket (when / width) % nbuckets. The cursor drains one
 // window at a time, so a bucket may hold events of far-future windows — the
 // `when < cursor_top_` guard skips those until their cycle comes around.
@@ -465,8 +408,6 @@ void EventQueue::cal_retune(std::uint64_t work_before) {
 // ---------------------------------------------------------------------------
 
 void EventQueue::begin_round(Time horizon) {
-  BECAUSE_CHECK(backend_ == EngineBackend::kCalendar,
-                "sharded rounds require the calendar backend");
   BECAUSE_CHECK(!round_active_, "begin_round during an active round");
   horizon_ = horizon;
   round_active_ = true;
@@ -507,10 +448,6 @@ void EventQueue::insert_captured(CapturedEvent&& cap) {
 
 bool EventQueue::peek_next_when(Time& out) {
   if (size_ == 0) return false;
-  if (backend_ == EngineBackend::kFunctionHeap) {
-    out = heap_.front().when;
-    return true;
-  }
   // The calendar has no O(1) front, so peek by pop + reinsert. cal_pop does
   // not advance now_ or the pop-order checker, and the reinserted event keeps
   // its seq, so ordering is unchanged; the duplicated scan work is amortised

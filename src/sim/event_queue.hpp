@@ -12,15 +12,12 @@
 // never touch the heap; closures are interned in a free-listed slab so the
 // priority structure itself stays trivially copyable.
 //
-// Two backends share the same observable contract:
-//   - kCalendar (default): a bucketed calendar queue keyed on sim::Time.
-//     O(1) amortised schedule/pop at campaign densities; buckets resize and
-//     re-estimate their width from the pending-event spacing.
-//   - kFunctionHeap: the original binary heap of std::function entries, kept
-//     as the reference implementation for the determinism/property tests and
-//     for before/after benchmarks (bench_sim).
-// Both backends pop the globally minimal (time, seq) pair, so any workload
-// executes identically on either.
+// The priority structure is a bucketed calendar queue keyed on sim::Time:
+// O(1) amortised schedule/pop at campaign densities; buckets resize and
+// re-estimate their width from the spacing of executed events. Every pop
+// yields the globally minimal (time, seq) pair, so the execution order is a
+// function of the schedule calls alone (sim_property_test checks it against
+// a plain (time, seq) heap model over random schedules).
 #pragma once
 
 #include <array>
@@ -48,10 +45,6 @@ enum class EventKind : std::uint8_t {
 };
 inline constexpr std::size_t kEventKindCount = 6;
 
-/// Which internal priority structure an EventQueue uses. Observable behaviour
-/// is identical; only throughput differs.
-enum class EngineBackend : std::uint8_t { kCalendar, kFunctionHeap };
-
 class EventQueue {
  public:
   using Action = std::function<void()>;
@@ -61,15 +54,13 @@ class EventQueue {
   using EventFn = void (*)(EventQueue&, void* ctx, std::uint64_t a,
                            std::uint64_t b);
 
-  explicit EventQueue(EngineBackend backend = EngineBackend::kCalendar);
+  EventQueue();
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
   /// Publishes this queue's tallies (executed-by-kind, schedules, clamps,
   /// calendar work, depth histogram) to the obs registry when collection is
   /// enabled. Safe: copying is deleted, so exactly one flush per queue.
   ~EventQueue();
-
-  EngineBackend backend() const { return backend_; }
 
   /// Current simulation time; advances only inside run()/run_until().
   Time now() const { return now_; }
@@ -138,7 +129,7 @@ class EventQueue {
   void bind_seq_counter(std::uint64_t* counter) { seq_counter_ = counter; }
 
   /// Enter round mode: schedule calls with when >= horizon are captured,
-  /// calls below it insert directly with provisional seqs. Calendar only.
+  /// calls below it insert directly with provisional seqs.
   void begin_round(Time horizon);
   /// Leave round mode (captures and the provisional arena stay readable
   /// until clear_round_logs()).
@@ -210,7 +201,7 @@ class EventQueue {
   std::uint32_t intern_closure(Action action);
   void dispatch(const Event& event);
 
-  // -- calendar backend ------------------------------------------------------
+  // -- calendar ---------------------------------------------------------------
   /// Calendar events are intrusive singly-linked list nodes in one slab:
   /// inserts never allocate after warm-up, and re-bucketing on resize relinks
   /// indices instead of copying Event payloads.
@@ -231,29 +222,7 @@ class EventQueue {
            mask_;
   }
 
-  // -- function-heap backend (the pre-calendar reference engine) -------------
-  // Entries hold the closure inline, exactly like the original engine: typed
-  // events are wrapped into std::function at schedule time, so this backend
-  // reproduces the pre-calendar allocation and heap-sift cost profile and is
-  // a faithful "before" measurement for bench_sim. Stored as an explicit
-  // std::push_heap/pop_heap vector (not std::priority_queue) so entries can
-  // be moved out of the heap without const_cast.
-  struct HeapEntry {
-    Time when;
-    std::uint64_t seq;
-    EventKind kind;
-    Action action;
-  };
-  struct Later {
-    bool operator()(const HeapEntry& x, const HeapEntry& y) const {
-      if (x.when != y.when) return x.when > y.when;
-      return x.seq > y.seq;
-    }
-  };
-  void heap_push(Time when, EventKind kind, Action action);
-  HeapEntry heap_pop();
-
-  /// Pop-ordering contract shared by both backends: every executed event's
+  /// Pop-ordering contract: every executed event's
   /// (when, seq) must be >= the previous one's and >= now().
   void note_pop(Time when, std::uint64_t seq);
 
@@ -263,7 +232,6 @@ class EventQueue {
     return seq_counter_ != nullptr ? (*seq_counter_)++ : next_seq_++;
   }
 
-  EngineBackend backend_;
   Time now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
@@ -310,9 +278,6 @@ class EventQueue {
   std::uint64_t pops_since_width_ = 0;
   std::uint64_t work_since_width_ = 0;
   Time width_epoch_ = 0;
-
-  // Heap state (explicit heap over a vector; see HeapEntry above).
-  std::vector<HeapEntry> heap_;
 
   // Last dispatched (when, seq), backing the pop-monotonicity contract.
   Time last_pop_when_ = 0;

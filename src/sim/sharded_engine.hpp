@@ -64,8 +64,8 @@ class ShardedEngine {
       std::function<std::uint32_t(std::uint32_t src_shard,
                                   EventQueue::CapturedEvent& cap)>;
 
-  /// `queues` are the per-shard queues (calendar backend, one shared seq
-  /// counter bound by the caller); they must outlive the engine.
+  /// `queues` are the per-shard queues (one shared seq counter bound by the
+  /// caller); they must outlive the engine.
   ShardedEngine(std::vector<EventQueue*> queues, const Config& config,
                 Dispatcher dispatcher);
   ShardedEngine(const ShardedEngine&) = delete;

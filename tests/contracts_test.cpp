@@ -102,7 +102,7 @@ TEST(WiredContractTest, BernoulliRejectsNanInAllConfigs) {
 
 TEST(WiredContractTest, CalendarPopDetectsInjectedPastEvent) {
   ScopedContractMode guard(ContractMode::kThrow);
-  because::sim::EventQueue queue(because::sim::EngineBackend::kCalendar);
+  because::sim::EventQueue queue;
   // Advance the clock past t=0 through the public API.
   queue.schedule_at(because::sim::seconds(10), [] {});
   EXPECT_EQ(queue.run(), 1u);

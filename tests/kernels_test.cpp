@@ -1,7 +1,6 @@
 // SIMD kernel dispatch: bit-identity of every vector level against the
-// scalar reference on randomized CSR datasets, batched multi-target
-// equivalence, multichain digest equivalence across dispatch levels, and
-// dual-averaging HMC warmup.
+// scalar reference on randomized CSR datasets, multichain digest
+// equivalence across dispatch levels, and dual-averaging HMC warmup.
 //
 // "Bit-identical" here is literal: comparisons use exact double equality
 // (EXPECT_EQ), not EXPECT_NEAR. The kernels earn this by lane-mapping whole
@@ -13,7 +12,6 @@
 #include <cmath>
 #include <vector>
 
-#include "core/batched_likelihood.hpp"
 #include "core/hmc.hpp"
 #include "core/kernels/dispatch.hpp"
 #include "core/likelihood.hpp"
@@ -211,138 +209,6 @@ TEST(KernelEquivalence, ShardedGradientBitIdenticalAcrossLevels) {
             << " coordinate " << i;
     }
   }
-}
-
-// ------------------------------------------------------------- batched
-
-std::vector<std::vector<std::uint8_t>> random_target_labels(
-    std::size_t targets, std::size_t paths, std::uint64_t seed) {
-  stats::Rng rng(seed);
-  std::vector<std::vector<std::uint8_t>> labels(targets);
-  for (auto& l : labels) {
-    l.resize(paths);
-    for (std::uint8_t& bit : l)
-      bit = rng.bernoulli(0.4) ? std::uint8_t{1} : std::uint8_t{0};
-  }
-  return labels;
-}
-
-TEST(BatchedLikelihood, MatchesIndependentEvaluations) {
-  // Batched and single-target paths use different product associations, so
-  // agreement is to rounding, not to the bit (see DESIGN.md §5g).
-  for (std::size_t targets : {1u, 5u, 8u, 11u}) {
-    const auto data = random_dataset(35, 150, 29);
-    const std::size_t paths = data.path_count();
-    const auto labels = random_target_labels(targets, paths, 31);
-    const NoiseModel noise = noisy();
-    const BatchedLikelihood batched(data, labels, noise);
-    ASSERT_EQ(batched.targets(), targets);
-    const std::size_t dim = batched.dim();
-
-    stats::Rng rng(41);
-    std::vector<double> p(targets * dim);
-    for (double& x : p) x = rng.uniform();
-    std::vector<double> ll(targets);
-    std::vector<double> grad(targets * dim);
-    batched.log_likelihoods(p, ll);
-    batched.gradients(p, grad);
-
-    for (std::size_t k = 0; k < targets; ++k) {
-      // An equivalent single-target dataset: same paths, target k's labels.
-      labeling::PathDataset single;
-      for (std::size_t j = 0; j < paths; ++j) {
-        topology::AsPath path;
-        for (std::uint32_t node : data.path_nodes(j))
-          path.push_back(data.as_at(node));
-        single.add_path(path, labels[k][j] != 0);
-      }
-      const Likelihood lik(single, noise);
-      const std::span<const double> pk{p.data() + k * dim, dim};
-      const double expected = lik.log_likelihood(pk);
-      EXPECT_NEAR(ll[k], expected, 1e-9 * std::max(1.0, std::abs(expected)))
-          << "target " << k;
-      std::vector<double> expected_grad(dim);
-      lik.gradient(pk, expected_grad);
-      for (std::size_t i = 0; i < dim; ++i)
-        EXPECT_NEAR(grad[k * dim + i], expected_grad[i],
-                    1e-9 * std::max(1.0, std::abs(expected_grad[i])))
-            << "target " << k << " coordinate " << i;
-    }
-  }
-}
-
-TEST(BatchedLikelihood, BitIdenticalAcrossLevels) {
-  LevelGuard guard;
-  for (std::size_t targets : {3u, 8u, 13u}) {
-    const auto data = random_dataset(45, 222, 53);
-    const auto labels = random_target_labels(targets, data.path_count(), 59);
-    const BatchedLikelihood batched(data, labels, noisy());
-    const std::size_t dim = batched.dim();
-    stats::Rng rng(61);
-    std::vector<double> p(targets * dim);
-    for (double& x : p) x = rng.uniform();
-
-    ASSERT_TRUE(kernels::force_level(kernels::Level::kScalar));
-    std::vector<double> ll_expected(targets), grad_expected(targets * dim);
-    batched.log_likelihoods(p, ll_expected);
-    batched.gradients(p, grad_expected);
-
-    std::vector<double> ll(targets), grad(targets * dim);
-    for (kernels::Level level : supported_levels()) {
-      ASSERT_TRUE(kernels::force_level(level));
-      batched.log_likelihoods(p, ll);
-      batched.gradients(p, grad);
-      for (std::size_t k = 0; k < targets; ++k)
-        EXPECT_EQ(ll[k], ll_expected[k])
-            << kernels::level_name(level) << " target " << k;
-      for (std::size_t i = 0; i < grad.size(); ++i)
-        EXPECT_EQ(grad[i], grad_expected[i])
-            << kernels::level_name(level) << " entry " << i;
-    }
-  }
-}
-
-TEST(BatchedLikelihood, FusedPosteriorsMatchSeparateCalls) {
-  // posteriors() shares one CSR walk between the probability fold and the
-  // gradient scatter; per lane the arithmetic sequence is identical to the
-  // separate calls, so agreement is to the bit — at every dispatch level.
-  LevelGuard guard;
-  for (std::size_t targets : {1u, 8u, 13u}) {
-    const auto data = random_dataset(45, 222, 53);
-    const auto labels = random_target_labels(targets, data.path_count(), 59);
-    const BatchedLikelihood batched(data, labels, noisy());
-    const std::size_t dim = batched.dim();
-    stats::Rng rng(61);
-    std::vector<double> p(targets * dim);
-    for (double& x : p) x = rng.uniform();
-
-    std::vector<double> ll_expected(targets), grad_expected(targets * dim);
-    std::vector<double> ll(targets), grad(targets * dim);
-    for (kernels::Level level : supported_levels()) {
-      ASSERT_TRUE(kernels::force_level(level));
-      batched.log_likelihoods(p, ll_expected);
-      batched.gradients(p, grad_expected);
-      batched.posteriors(p, ll, grad);
-      for (std::size_t k = 0; k < targets; ++k)
-        EXPECT_EQ(ll[k], ll_expected[k])
-            << kernels::level_name(level) << " target " << k;
-      for (std::size_t i = 0; i < grad.size(); ++i)
-        EXPECT_EQ(grad[i], grad_expected[i])
-            << kernels::level_name(level) << " entry " << i;
-    }
-  }
-}
-
-TEST(BatchedLikelihood, Validation) {
-  const auto data = random_dataset(10, 20, 3);
-  EXPECT_THROW(BatchedLikelihood(data, {}), std::invalid_argument);
-  EXPECT_THROW(
-      BatchedLikelihood(data, {std::vector<std::uint8_t>(5, 0)}),
-      std::invalid_argument);
-  const BatchedLikelihood ok(
-      data, {std::vector<std::uint8_t>(data.path_count(), 1)});
-  std::vector<double> p(ok.dim(), 0.5), out(2);
-  EXPECT_THROW(ok.log_likelihoods(p, out), std::invalid_argument);
 }
 
 // -------------------------------------- multichain digests across levels

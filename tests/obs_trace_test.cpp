@@ -83,16 +83,17 @@ struct ObsGuard {
   }
 };
 
-// Seed-engine constants from sim_golden_trace_test — the instrumented run
+// Golden-campaign constants from sim_golden_trace_test — the instrumented run
 // must reproduce them exactly.
-constexpr std::uint64_t kExpectedEvents = 155320;
-constexpr std::uint64_t kExpectedRecords = 18165;
-constexpr std::uint64_t kExpectedDigest = 1359638636144856509ULL;
+constexpr std::uint64_t kExpectedEvents = 154149;
+constexpr std::uint64_t kExpectedRecords = 18068;
+constexpr std::uint64_t kExpectedDigest = 10068399607775122921ULL;
 
-// Captured when the obs subsystem landed: event count and byte digest of
-// the rendered Chrome-trace JSON for the golden campaign.
+// Event count and byte digest of the rendered Chrome-trace JSON for the
+// golden campaign (re-pinned with the golden trace when RIB enumeration
+// became ascending-prefix order).
 constexpr std::uint64_t kExpectedTraceEvents = 437;
-constexpr std::uint64_t kExpectedTraceDigest = 17687340896761361811ULL;
+constexpr std::uint64_t kExpectedTraceDigest = 16293843266596928010ULL;
 
 TEST(ObsGoldenTrace, InstrumentedCampaignMatchesSeedEngine) {
   ObsGuard guard;

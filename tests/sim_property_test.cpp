@@ -1,16 +1,17 @@
 // Property-based ordering tests for the event engine.
 //
-// A reference model — a plain vector popped by linear min-scan on the
-// (time, seq) pair, with the same past-clamping rule — defines the engine
-// contract. Random workloads (dense ties, sparse far-apart times, events
-// that schedule more events from inside their own execution, run_until
-// splits) are executed against the reference model and against both real
-// backends; the full execution traces must agree element-by-element. Child
+// A reference model — a binary heap ordered on the (time, seq) pair, with
+// the same past-clamping rule — defines the engine contract. Random
+// workloads (dense ties, sparse far-apart times, events that schedule more
+// events from inside their own execution, run_until splits) are executed
+// against the reference model and against the calendar queue; the full
+// execution traces and the executed/clamped tallies must agree. Child
 // events are derived deterministically from the parent's id (never from
 // shared RNG state), so a trace divergence always means an ordering bug and
 // not test-harness noise.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <random>
@@ -65,30 +66,29 @@ std::vector<Spawn> children_of(std::uint64_t id, Time now, int depth) {
 
 using Trace = std::vector<std::pair<Time, std::uint64_t>>;
 
-/// The specification: an unordered vector popped by linear (when, seq) min
-/// scan. Intentionally naive — O(n) per pop — so it is obviously correct.
+/// The specification: a binary min-heap on (when, seq) over a vector
+/// (std::push_heap / std::pop_heap), with schedules in the past clamped to
+/// now. Small enough to be obviously correct.
 class ReferenceModel {
  public:
   void schedule(Time when, std::uint64_t id, int depth) {
-    if (when < now_) when = now_;
+    if (when < now_) {
+      when = now_;
+      ++past_clamped_;
+    }
     pending_.push_back({when, next_seq_++, id, depth});
+    std::push_heap(pending_.begin(), pending_.end(), later);
   }
 
   Trace run_until(Time deadline, bool bounded) {
     Trace trace;
-    for (;;) {
-      std::size_t best = pending_.size();
-      for (std::size_t i = 0; i < pending_.size(); ++i) {
-        if (best == pending_.size() || pending_[i].when < pending_[best].when ||
-            (pending_[i].when == pending_[best].when &&
-             pending_[i].seq < pending_[best].seq))
-          best = i;
-      }
-      if (best == pending_.size()) break;
-      if (bounded && pending_[best].when > deadline) break;
-      const Entry entry = pending_[best];
-      pending_.erase(pending_.begin() + best);
+    while (!pending_.empty()) {
+      if (bounded && pending_.front().when > deadline) break;
+      std::pop_heap(pending_.begin(), pending_.end(), later);
+      const Entry entry = pending_.back();
+      pending_.pop_back();
       now_ = entry.when;
+      ++executed_;
       trace.emplace_back(now_, entry.id);
       for (const Spawn& child : children_of(entry.id, now_, entry.depth)) {
         schedule(child.absolute ? child.when_or_delay : now_ + child.when_or_delay,
@@ -99,6 +99,9 @@ class ReferenceModel {
     return trace;
   }
 
+  std::uint64_t executed() const { return executed_; }
+  std::uint64_t past_clamped() const { return past_clamped_; }
+
  private:
   struct Entry {
     Time when;
@@ -106,16 +109,21 @@ class ReferenceModel {
     std::uint64_t id;
     int depth;
   };
+  /// Heap order: the top is the minimal (when, seq).
+  static bool later(const Entry& x, const Entry& y) {
+    if (x.when != y.when) return x.when > y.when;
+    return x.seq > y.seq;
+  }
   Time now_ = 0;
   std::uint64_t next_seq_ = 0;
+  std::uint64_t executed_ = 0;
+  std::uint64_t past_clamped_ = 0;
   std::vector<Entry> pending_;
 };
 
 /// Drives a real EventQueue with the same workload, recording the trace.
 class QueueHarness {
  public:
-  explicit QueueHarness(EngineBackend backend) : queue_(backend) {}
-
   void schedule(Time when, std::uint64_t id, int depth) {
     queue_.schedule_at(when, [this, id, depth] { execute(id, depth); });
   }
@@ -162,12 +170,10 @@ void check_workload(std::uint64_t seed, std::size_t count, Time range,
   }
 
   ReferenceModel model;
-  QueueHarness calendar(EngineBackend::kCalendar);
-  QueueHarness heap(EngineBackend::kFunctionHeap);
+  QueueHarness calendar;
   for (const auto& [when, id] : roots) {
     model.schedule(when, id, 0);
     calendar.schedule(when, id, 0);
-    heap.schedule(when, id, 0);
   }
 
   if (with_deadline) {
@@ -175,8 +181,6 @@ void check_workload(std::uint64_t seed, std::size_t count, Time range,
     const Trace expected = model.run_until(deadline, true);
     EXPECT_EQ(calendar.run_until(deadline, true), expected)
         << "calendar diverged before deadline, seed " << seed;
-    EXPECT_EQ(heap.run_until(deadline, true), expected)
-        << "heap diverged before deadline, seed " << seed;
     // Schedule fresh roots *between* the bounded and unbounded runs, earlier
     // than any event the bounded run deferred (times < deadline clamp to
     // now == deadline under the shared rule). Regression coverage for the
@@ -187,17 +191,14 @@ void check_workload(std::uint64_t seed, std::size_t count, Time range,
       const std::uint64_t id = 2000000 + i;
       model.schedule(when, id, 0);
       calendar.schedule(when, id, 0);
-      heap.schedule(when, id, 0);
     }
   }
 
   const Trace expected = model.run_until(0, false);
   EXPECT_EQ(calendar.run_until(0, false), expected)
       << "calendar diverged, seed " << seed;
-  EXPECT_EQ(heap.run_until(0, false), expected)
-      << "heap diverged, seed " << seed;
-  EXPECT_EQ(calendar.queue().executed(), heap.queue().executed());
-  EXPECT_EQ(calendar.queue().past_clamped(), heap.queue().past_clamped());
+  EXPECT_EQ(calendar.queue().executed(), model.executed());
+  EXPECT_EQ(calendar.queue().past_clamped(), model.past_clamped());
 }
 
 TEST(SimProperty, DenseTiesMatchReferenceModel) {
@@ -242,7 +243,7 @@ class ShardedMessageHarness {
   ShardedMessageHarness(std::uint32_t shards, std::uint64_t nodes)
       : shards_(shards), nodes_(nodes), traces_(shards) {
     for (std::uint32_t s = 0; s < shards; ++s)
-      queues_.push_back(std::make_unique<EventQueue>(EngineBackend::kCalendar));
+      queues_.push_back(std::make_unique<EventQueue>());
     for (auto& queue : queues_) queue->bind_seq_counter(&seq_);
   }
 
@@ -370,7 +371,7 @@ TEST(SimProperty, ShardedEngineMatchesSerialPerNodeStreams) {
 TEST(SimProperty, PastClampCountsAgreeWithModelSemantics) {
   // A workload guaranteed to hit the clamp rule (children with h % 7 == 0).
   ReferenceModel model;
-  QueueHarness calendar(EngineBackend::kCalendar);
+  QueueHarness calendar;
   for (std::uint64_t id = 0; id < 400; ++id) {
     const Time when = static_cast<Time>(mix(id ^ 0xbeef) % minutes(5));
     model.schedule(when, id, 0);
@@ -378,6 +379,7 @@ TEST(SimProperty, PastClampCountsAgreeWithModelSemantics) {
   }
   EXPECT_EQ(calendar.run_until(0, false), model.run_until(0, false));
   EXPECT_GT(calendar.queue().past_clamped(), 0u);
+  EXPECT_EQ(calendar.queue().past_clamped(), model.past_clamped());
 }
 
 }  // namespace

@@ -17,20 +17,12 @@ TEST(Time, Conversions) {
   EXPECT_DOUBLE_EQ(to_minutes(minutes(7)), 7.0);
 }
 
-/// Core engine contract, asserted on both backends: they must be observably
-/// interchangeable (the golden-trace and property tests extend this to whole
-/// campaigns and random workloads).
-class EventQueueBackends : public ::testing::TestWithParam<EngineBackend> {};
+// Core engine contract. sim_property_test extends it to random workloads
+// (against a (time, seq) heap model) and sim_golden_trace_test to whole
+// campaigns.
 
-INSTANTIATE_TEST_SUITE_P(
-    Backends, EventQueueBackends,
-    ::testing::Values(EngineBackend::kCalendar, EngineBackend::kFunctionHeap),
-    [](const ::testing::TestParamInfo<EngineBackend>& info) {
-      return info.param == EngineBackend::kCalendar ? "Calendar" : "FunctionHeap";
-    });
-
-TEST_P(EventQueueBackends, RunsInTimeOrder) {
-  EventQueue q(GetParam());
+TEST(EventQueue, RunsInTimeOrder) {
+  EventQueue q;
   std::vector<int> order;
   q.schedule_at(30, [&] { order.push_back(3); });
   q.schedule_at(10, [&] { order.push_back(1); });
@@ -39,8 +31,8 @@ TEST_P(EventQueueBackends, RunsInTimeOrder) {
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
-TEST_P(EventQueueBackends, TiesBreakByInsertionOrder) {
-  EventQueue q(GetParam());
+TEST(EventQueue, TiesBreakByInsertionOrder) {
+  EventQueue q;
   std::vector<int> order;
   q.schedule_at(5, [&] { order.push_back(1); });
   q.schedule_at(5, [&] { order.push_back(2); });
@@ -49,8 +41,8 @@ TEST_P(EventQueueBackends, TiesBreakByInsertionOrder) {
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
-TEST_P(EventQueueBackends, TypedAndClosureEventsInterleaveInOrder) {
-  EventQueue q(GetParam());
+TEST(EventQueue, TypedAndClosureEventsInterleaveInOrder) {
+  EventQueue q;
   std::vector<std::string> order;
   const EventQueue::EventFn record = [](EventQueue&, void* ctx, std::uint64_t a,
                                         std::uint64_t) {
@@ -65,8 +57,8 @@ TEST_P(EventQueueBackends, TypedAndClosureEventsInterleaveInOrder) {
             (std::vector<std::string>{"typed1", "closure", "typed2"}));
 }
 
-TEST_P(EventQueueBackends, ClockAdvancesWithEvents) {
-  EventQueue q(GetParam());
+TEST(EventQueue, ClockAdvancesWithEvents) {
+  EventQueue q;
   Time seen = -1;
   q.schedule_at(42, [&] { seen = q.now(); });
   q.run();
@@ -74,8 +66,8 @@ TEST_P(EventQueueBackends, ClockAdvancesWithEvents) {
   EXPECT_EQ(q.now(), 42);
 }
 
-TEST_P(EventQueueBackends, ScheduleInIsRelative) {
-  EventQueue q(GetParam());
+TEST(EventQueue, ScheduleInIsRelative) {
+  EventQueue q;
   Time seen = -1;
   q.schedule_at(100, [&] {
     q.schedule_in(50, [&] { seen = q.now(); });
@@ -88,8 +80,8 @@ TEST_P(EventQueueBackends, ScheduleInIsRelative) {
 // zero-delay timers racing the clock (e.g. an RFD reuse time just elapsed)
 // abort whole campaigns. Past times now clamp to now(), keeping FIFO order
 // among everything scheduled "immediately", and are counted for diagnostics.
-TEST_P(EventQueueBackends, PastSchedulingClampsToNow) {
-  EventQueue q(GetParam());
+TEST(EventQueue, PastSchedulingClampsToNow) {
+  EventQueue q;
   std::vector<int> order;
   q.schedule_at(100, [&] {
     q.schedule_at(50, [&] { order.push_back(1); });   // past: clamps to 100
@@ -101,8 +93,8 @@ TEST_P(EventQueueBackends, PastSchedulingClampsToNow) {
   EXPECT_EQ(q.past_clamped(), 1u);
 }
 
-TEST_P(EventQueueBackends, ReentrantSchedulingDuringRun) {
-  EventQueue q(GetParam());
+TEST(EventQueue, ReentrantSchedulingDuringRun) {
+  EventQueue q;
   int count = 0;
   q.schedule_at(0, [&] {
     ++count;
@@ -114,8 +106,8 @@ TEST_P(EventQueueBackends, ReentrantSchedulingDuringRun) {
   EXPECT_EQ(count, 2);
 }
 
-TEST_P(EventQueueBackends, RunUntilStopsAtDeadline) {
-  EventQueue q(GetParam());
+TEST(EventQueue, RunUntilStopsAtDeadline) {
+  EventQueue q;
   int fired = 0;
   q.schedule_at(10, [&] { ++fired; });
   q.schedule_at(20, [&] { ++fired; });
@@ -128,14 +120,14 @@ TEST_P(EventQueueBackends, RunUntilStopsAtDeadline) {
   EXPECT_EQ(fired, 3);
 }
 
-TEST_P(EventQueueBackends, RunUntilAdvancesClockToDeadlineWhenIdle) {
-  EventQueue q(GetParam());
+TEST(EventQueue, RunUntilAdvancesClockToDeadlineWhenIdle) {
+  EventQueue q;
   q.run_until(500);
   EXPECT_EQ(q.now(), 500);
 }
 
-TEST_P(EventQueueBackends, RunUntilPreservesTieOrderAcrossCalls) {
-  EventQueue q(GetParam());
+TEST(EventQueue, RunUntilPreservesTieOrderAcrossCalls) {
+  EventQueue q;
   std::vector<int> order;
   q.schedule_at(20, [&] { order.push_back(1); });
   q.schedule_at(20, [&] { order.push_back(2); });
@@ -151,8 +143,8 @@ TEST_P(EventQueueBackends, RunUntilPreservesTieOrderAcrossCalls) {
 // scheduled afterwards then landed in a bucket behind the cursor and executed
 // *after* the far-future one, rewinding the clock. The cursor must rewind to
 // now()'s window when run_until defers an event.
-TEST_P(EventQueueBackends, EarlierScheduleAfterRunUntilRunsFirst) {
-  EventQueue q(GetParam());
+TEST(EventQueue, EarlierScheduleAfterRunUntilRunsFirst) {
+  EventQueue q;
   std::vector<Time> fired;
   q.schedule_at(1'000'000, [&] { fired.push_back(q.now()); });
   EXPECT_EQ(q.run_until(1000), 0u);
@@ -164,8 +156,8 @@ TEST_P(EventQueueBackends, EarlierScheduleAfterRunUntilRunsFirst) {
   EXPECT_EQ(q.now(), 1'000'000);
 }
 
-TEST_P(EventQueueBackends, ExecutedCounterAccumulates) {
-  EventQueue q(GetParam());
+TEST(EventQueue, ExecutedCounterAccumulates) {
+  EventQueue q;
   q.schedule_at(1, [] {});
   q.schedule_at(2, [] {});
   q.run();
@@ -175,8 +167,8 @@ TEST_P(EventQueueBackends, ExecutedCounterAccumulates) {
   EXPECT_EQ(q.executed(), 3u);
 }
 
-TEST_P(EventQueueBackends, ExecutedBreaksDownByKind) {
-  EventQueue q(GetParam());
+TEST(EventQueue, ExecutedBreaksDownByKind) {
+  EventQueue q;
   const EventQueue::EventFn noop = [](EventQueue&, void*, std::uint64_t,
                                       std::uint64_t) {};
   q.schedule_event_at(1, EventKind::kBgpDelivery, noop, nullptr);
@@ -191,8 +183,8 @@ TEST_P(EventQueueBackends, ExecutedBreaksDownByKind) {
   EXPECT_EQ(q.executed(), 4u);
 }
 
-TEST_P(EventQueueBackends, TypedEventsReceiveArguments) {
-  EventQueue q(GetParam());
+TEST(EventQueue, TypedEventsReceiveArguments) {
+  EventQueue q;
   std::uint64_t got_a = 0, got_b = 0;
   struct Ctx {
     std::uint64_t* a;
@@ -210,8 +202,8 @@ TEST_P(EventQueueBackends, TypedEventsReceiveArguments) {
   EXPECT_EQ(got_b, 99u);
 }
 
-TEST_P(EventQueueBackends, EmptyAndPending) {
-  EventQueue q(GetParam());
+TEST(EventQueue, EmptyAndPending) {
+  EventQueue q;
   EXPECT_TRUE(q.empty());
   q.schedule_at(1, [] {});
   EXPECT_FALSE(q.empty());
@@ -222,8 +214,8 @@ TEST_P(EventQueueBackends, EmptyAndPending) {
 
 /// Widely spread event times force the calendar to cycle through all buckets
 /// and fall back to direct-search; order must survive.
-TEST_P(EventQueueBackends, SparseFarApartEventsStayOrdered) {
-  EventQueue q(GetParam());
+TEST(EventQueue, SparseFarApartEventsStayOrdered) {
+  EventQueue q;
   std::vector<int> order;
   q.schedule_at(hours(500), [&] { order.push_back(3); });
   q.schedule_at(1, [&] { order.push_back(1); });
