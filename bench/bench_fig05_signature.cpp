@@ -41,7 +41,7 @@ int main() {
     collector::VantagePointConfig config;
     config.as = vp;
     config.project = collector::Project::kIsolario;
-    collector::attach_vantage_point(network, store, config, rng);
+    collector::attach_vantage_point(network, {&store, 1}, config, rng, rng);
   }
 
   beacon::Controller controller(network);

@@ -20,7 +20,6 @@
 #include "core/multichain.hpp"
 #include "core/prior.hpp"
 #include "stats/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -150,21 +149,6 @@ void BM_HmcTrajectories(benchmark::State& state) {
 }
 BENCHMARK(BM_HmcTrajectories)->Arg(64)->Arg(256)->Arg(1024)
     ->Unit(benchmark::kMillisecond);
-
-void BM_GradientSharded(benchmark::State& state) {
-  const auto data = synthetic_dataset(1024, 4096);
-  const core::Likelihood lik(data);
-  util::ThreadPool pool;
-  const auto shards = static_cast<std::size_t>(state.range(0));
-  std::vector<double> p(lik.dim(), 0.3), grad(lik.dim());
-  for (auto _ : state) {
-    lik.gradient(p, grad, pool, shards);
-    benchmark::DoNotOptimize(grad.data());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(data.path_count()));
-}
-BENCHMARK(BM_GradientSharded)->Arg(1)->Arg(2)->Arg(4);
 
 void BM_MetropolisChainsPooled(benchmark::State& state) {
   const auto data = synthetic_dataset(

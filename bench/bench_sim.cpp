@@ -154,7 +154,8 @@ EngineMeasurement measure_sim(std::size_t ases) {
     vp.as = ids[(i * 37) % ids.size()];
     vp.project = collector::Project::kRipeRis;
     vp.missing_aggregator_prob = 0.01;
-    collector::attach_vantage_point(network, store, vp, noise_rng);
+    collector::attach_vantage_point(network, {&store, 1}, vp, noise_rng,
+                                    noise_rng);
   }
 
   beacon::Controller controller(network);
@@ -241,22 +242,13 @@ EngineMeasurement measure_sim_sharded(std::size_t ases,
     stores.emplace_back(shards.tables[s]);
 
   stats::Rng noise_rng = rng.fork();
-  std::vector<std::unique_ptr<stats::Rng>> noise_lanes;
   const std::vector<topology::AsId> ids = graph.as_ids();
   for (std::size_t i = 0; i < 16; ++i) {
     collector::VantagePointConfig vp;
     vp.as = ids[(i * 37) % ids.size()];
     vp.project = collector::Project::kRipeRis;
     vp.missing_aggregator_prob = 0.01;
-    const sim::Duration delay =
-        collector::draw_export_delay(vp.project, noise_rng);
-    collector::VpId id = 0;
-    for (std::uint32_t s = 0; s < partition.shards; ++s)
-      id = stores[s].register_vp(vp.as, vp.project, delay);
-    noise_lanes.push_back(std::make_unique<stats::Rng>(noise_rng.fork()));
-    collector::attach_vantage_point_tap(network,
-                                        stores[network.shard_of(vp.as)], id,
-                                        delay, vp, noise_lanes.back().get());
+    collector::attach_vantage_point(network, stores, vp, noise_rng, noise_rng);
   }
 
   beacon::Controller controller(network);
@@ -357,34 +349,38 @@ int main(int argc, char** argv) {
                    util::fmt_double(m.allocs_per_event(), 3)});
   };
 
-  // 1. Engine-only, on the synthetic workload. Best-of-3: the obs-on/off
-  // ratio below is an acceptance gate, so keep scheduler noise out of it.
+  // 1. Engine-only, on the synthetic workload, run as interleaved obs-off /
+  // obs-on pairs. The derived BM_ObsOverhead/engine record carries the
+  // median of the per-pair on/off cost ratios as ns_per_op; bench_gate
+  // checks it against an absolute ceiling (default 1.05: obs-on may cost at
+  // most 5% of event-loop throughput). Pairing puts both halves of a ratio
+  // under the same host conditions and the median drops the pairs a
+  // scheduler hiccup hit, so the gate does not flap on unchanged code. The
+  // BM_EventEngine records keep the best run of each side.
   constexpr std::uint64_t kEngineEvents = 1'000'000;
-  const auto best_engine = [] {
-    EngineMeasurement best;
-    for (int rep = 0; rep < 3; ++rep) {
-      const EngineMeasurement m = bench::measure_engine(kEngineEvents);
-      if (rep == 0 || m.seconds < best.seconds) best = m;
-    }
-    return best;
-  };
-  const EngineMeasurement engine_cal = best_engine();
+  constexpr std::size_t kObsPairs = 21;
+  EngineMeasurement engine_cal;
+  EngineMeasurement engine_obs;
+  std::vector<double> pair_overheads;
+  for (std::size_t pair = 0; pair < kObsPairs; ++pair) {
+    const EngineMeasurement off = bench::measure_engine(kEngineEvents);
+    obs::set_enabled(true);
+    obs::set_trace_enabled(true);
+    const EngineMeasurement on = bench::measure_engine(kEngineEvents);
+    obs::set_enabled(false);
+    obs::set_trace_enabled(false);
+    obs::reset();
+    obs::trace_reset();
+    if (pair == 0 || off.seconds < engine_cal.seconds) engine_cal = off;
+    if (pair == 0 || on.seconds < engine_obs.seconds) engine_obs = on;
+    pair_overheads.push_back(off.events_per_second() / on.events_per_second());
+  }
   add("BM_EventEngine/calendar", engine_cal);
-
-  // 1b. The same engine workload with observability collection on. The
-  // derived BM_ObsOverhead records carry the on/off cost ratio as ns_per_op;
-  // bench_gate checks them against an absolute ceiling (default 1.05: obs-on
-  // may cost at most 5% of event-loop throughput).
-  obs::set_enabled(true);
-  obs::set_trace_enabled(true);
-  const EngineMeasurement engine_obs = best_engine();
-  obs::set_enabled(false);
-  obs::set_trace_enabled(false);
-  obs::reset();
-  obs::trace_reset();
   add("BM_EventEngine/calendar/obs", engine_obs);
-  const double engine_obs_overhead =
-      engine_cal.events_per_second() / engine_obs.events_per_second();
+  std::nth_element(pair_overheads.begin(),
+                   pair_overheads.begin() + kObsPairs / 2,
+                   pair_overheads.end());
+  const double engine_obs_overhead = pair_overheads[kObsPairs / 2];
   records.push_back(
       {"BM_ObsOverhead/engine", engine_obs_overhead, engine_obs_overhead, 1});
 

@@ -70,7 +70,7 @@ int main() {
     collector::VantagePointConfig config;
     config.as = vp;
     config.project = collector::Project::kIsolario;
-    collector::attach_vantage_point(network, store, config, rng);
+    collector::attach_vantage_point(network, {&store, 1}, config, rng, rng);
   }
 
   // Independent 1 min beacon prefixes: 2 from site 1 (damped at 701),

@@ -12,7 +12,7 @@
 #               sizes and the golden Chrome-trace digest (release preset)
 #   5. tsan     thread sanitizer over the concurrency-labeled tests
 #   6. shard    sharded-engine suite: partitioner invariants and the
-#               bit-identity bar (sharded == serial at shards 1/2/4/8) under
+#               bit-identity bar (pinned digests at shards 1/2/4/8) under
 #               the release preset, then the same shard-labeled tests again
 #               under thread sanitizer (tsan-shard test preset) so the round
 #               protocol's worker handoffs get a race check too

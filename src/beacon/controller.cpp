@@ -42,8 +42,8 @@ void Controller::schedule_events(topology::AsId origin, const bgp::Prefix& prefi
     throw std::invalid_argument("Controller: prefix already deployed");
 
   bgp::Router& router = network_.router(origin);
-  // The origin's shard queue (== network.queue() in serial mode): beacon
-  // events execute on the thread that owns the origin router.
+  // The origin's shard queue: beacon events execute on the thread that owns
+  // the origin router.
   sim::EventQueue& queue = network_.queue_for(origin);
   const std::uint64_t packed = bgp::pack(prefix);
   for (const BeaconEvent& event : events) {

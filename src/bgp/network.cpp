@@ -17,12 +17,6 @@ std::uint64_t link_key(topology::AsId a, topology::AsId b) {
   return (static_cast<std::uint64_t>(lo) << 32) | hi;
 }
 
-sim::EventQueue& first_queue(const NetworkShards& shards) {
-  if (shards.queues.empty() || shards.queues[0] == nullptr)
-    throw std::invalid_argument("Network: sharded ctor needs >= 1 queue");
-  return *shards.queues[0];
-}
-
 /// Per-session key for the hashed-jitter stream: a splitmix64 finalizer over
 /// (network seed, sender, receiver), forced nonzero. A pure function of the
 /// session's identity, so the stream is identical at every shard count.
@@ -39,35 +33,29 @@ std::uint64_t session_jitter_key(std::uint64_t seed, topology::AsId local,
 }  // namespace
 
 Network::Network(const topology::AsGraph& graph, const NetworkConfig& config,
-                 sim::EventQueue& queue, stats::Rng& rng,
-                 std::shared_ptr<topology::PathTable> paths)
-    : graph_(graph), config_(config), queue_(queue), paths_(std::move(paths)) {
-  if (paths_ == nullptr) paths_ = std::make_shared<topology::PathTable>();
-  shard_queues_.push_back(&queue_);
-  shard_tables_.push_back(paths_);
-  build(rng);
-}
+                 sim::EventQueue& queue, stats::Rng& rng)
+    : Network(graph, config,
+              NetworkShards{{&queue},
+                            {std::make_shared<topology::PathTable>()},
+                            {}},
+              rng) {}
 
 Network::Network(const topology::AsGraph& graph, const NetworkConfig& config,
                  const NetworkShards& shards, stats::Rng& rng)
     : graph_(graph),
       config_(config),
-      queue_(first_queue(shards)),
-      paths_(shards.tables.empty() ? nullptr : shards.tables[0]) {
-  if (shards.tables.size() != shards.queues.size())
+      paths_(shards.tables.empty() ? nullptr : shards.tables[0]),
+      shard_queues_(shards.queues),
+      shard_tables_(shards.tables),
+      shard_of_(shards.shard_of) {
+  if (shard_queues_.empty())
+    throw std::invalid_argument("Network: need >= 1 shard queue");
+  if (shard_tables_.size() != shard_queues_.size())
     throw std::invalid_argument("Network: shard queue/table count mismatch");
-  for (std::size_t s = 0; s < shards.queues.size(); ++s) {
-    if (shards.queues[s] == nullptr || shards.tables[s] == nullptr)
+  for (std::size_t s = 0; s < shard_queues_.size(); ++s) {
+    if (shard_queues_[s] == nullptr || shard_tables_[s] == nullptr)
       throw std::invalid_argument("Network: null shard queue or table");
   }
-  shard_queues_ = shards.queues;
-  shard_tables_ = shards.tables;
-  shard_of_ = shards.shard_of;
-  sharded_ = true;
-  build(rng);
-}
-
-void Network::build(stats::Rng& rng) {
   if (config_.min_link_delay < 0 ||
       config_.max_link_delay < config_.min_link_delay)
     throw std::invalid_argument("Network: bad link delay range");
@@ -104,10 +92,8 @@ void Network::build(stats::Rng& rng) {
       }
     }
   }
-  // Sharded jitter draws come from per-session hash streams seeded here (one
-  // extra draw the serial constructor never makes; serial jitter keeps
-  // drawing from `rng` at runtime for byte-compatibility with old traces).
-  if (sharded()) jitter_seed_ = rng.engine()();
+  // MRAI jitter draws come from per-session hash streams seeded here.
+  jitter_seed_ = rng.engine()();
 
   // Flatten the delays into a CSR table over dense indices, each row sorted
   // by destination for binary-searched lookup.
@@ -151,16 +137,10 @@ void Network::build(stats::Rng& rng) {
       auto send = [this, to, from_index, delay](const Update& update) {
         deliver_in(delay, to, from_index, update);
       };
-      if (sharded()) {
-        local.connect(nb.id, nb.relation, config_.mrai,
-                      config_.mrai_on_withdrawals, std::move(send), nullptr,
-                      config_.mrai_jitter,
-                      session_jitter_key(jitter_seed_, local_id, nb.id));
-      } else {
-        local.connect(nb.id, nb.relation, config_.mrai,
-                      config_.mrai_on_withdrawals, std::move(send), &rng,
-                      config_.mrai_jitter);
-      }
+      local.connect(nb.id, nb.relation, config_.mrai,
+                    config_.mrai_on_withdrawals, std::move(send),
+                    config_.mrai_jitter,
+                    session_jitter_key(jitter_seed_, local_id, nb.id));
     }
   }
 }
@@ -192,7 +172,7 @@ void Network::deliver_in(sim::Duration delay, std::uint32_t to_index,
                          std::uint32_t from_index, const Update& update) {
   const std::uint32_t src = shard_of_[from_index];
   std::uint32_t shard = src;
-  if (sharded() && !shard_queues_[src]->in_round()) {
+  if (!shard_queues_[src]->in_round()) {
     // Setup or between rounds: the whole system is single-threaded, so the
     // event may be placed directly where it will execute. (In-round sends
     // stay on the sender's shard: same-shard ones execute locally, and

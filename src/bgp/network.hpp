@@ -11,15 +11,15 @@
 // message cost is a couple of binary searches instead of hash lookups plus
 // closure allocations.
 //
-// Sharded mode (the NetworkShards constructor) splits the network across K
-// shard EventQueues for the space-parallel engine (sim/sharded_engine.hpp):
-// each router schedules on its shard's queue and interns AS paths into its
-// shard's table, delivery payloads live in per-shard slabs so round workers
-// never touch another shard's memory, and MRAI jitter switches to a
-// per-session counter-hash stream so draws don't depend on cross-session
-// interleaving. translate_capture() is the engine's dispatcher hook: it moves
-// a captured cross-shard delivery into the destination shard's slab and path
-// table between rounds.
+// The network runs on K shard EventQueues for the space-parallel engine
+// (sim/sharded_engine.hpp); a plain single-queue network is the one-shard
+// case of the same wiring. Each router schedules on its shard's queue and
+// interns AS paths into its shard's table, delivery payloads live in
+// per-shard slabs so round workers never touch another shard's memory, and
+// MRAI jitter comes from per-session counter-hash streams so draws don't
+// depend on cross-session interleaving. translate_capture() is the engine's
+// dispatcher hook: it moves a captured cross-shard delivery into the
+// destination shard's slab and path table between rounds.
 #pragma once
 
 #include <cstdint>
@@ -59,19 +59,15 @@ struct NetworkShards {
 
 class Network {
  public:
-  /// Builds routers and sessions for every AS/link in `graph`.
-  /// `rng` must outlive the Network (MRAI jitter draws from it at runtime).
-  /// `paths` is the shared AS-path interning table; pass one to share it
-  /// with collectors/stores, or leave null and the Network creates its own.
+  /// Builds routers and sessions for every AS/link in `graph` on one shard
+  /// driven by `queue`, with a fresh path table (see paths()).
   Network(const topology::AsGraph& graph, const NetworkConfig& config,
-          sim::EventQueue& queue, stats::Rng& rng,
-          std::shared_ptr<topology::PathTable> paths = nullptr);
+          sim::EventQueue& queue, stats::Rng& rng);
 
-  /// Sharded construction. `rng` is used only during construction here (link
-  /// delays, in the same order as the serial constructor, plus one draw for
-  /// the jitter hash seed) — runtime jitter comes from per-session hash
-  /// streams, never from `rng`, so results are shard-count-invariant.
-  /// paths() aliases shards.tables[0].
+  /// Sharded construction. `rng` is used only during construction (link
+  /// delays, then one draw for the jitter hash seed) — runtime jitter comes
+  /// from per-session hash streams, never from `rng`, so results are
+  /// shard-count-invariant. paths() aliases shards.tables[0].
   Network(const topology::AsGraph& graph, const NetworkConfig& config,
           const NetworkShards& shards, stats::Rng& rng);
 
@@ -83,27 +79,20 @@ class Network {
   bool contains(topology::AsId id) const { return find_index(id) >= 0; }
 
   const topology::AsGraph& graph() const { return graph_; }
-  sim::EventQueue& queue() { return queue_; }
 
-  /// The AS-path interning table every router's PathIds refer to. Shared so
-  /// collectors and stores can outlive the Network. In sharded mode this is
-  /// shard 0's table; use table_for() for a specific router's table.
+  /// Shard 0's AS-path interning table — every router's table when there is
+  /// one shard; use table_for() for a specific router's table. Shared so
+  /// collectors and stores can outlive the Network.
   const std::shared_ptr<topology::PathTable>& paths() const { return paths_; }
 
-  /// True when the network was built through the sharded constructor — even
-  /// with a single shard, so a 1-shard campaign draws MRAI jitter from the
-  /// same per-session hash streams as every other shard count (the
-  /// bit-identity contract compares K=1 against K=2/4/8 directly).
-  bool sharded() const { return sharded_; }
   std::uint32_t shard_count() const {
     return static_cast<std::uint32_t>(shard_queues_.size());
   }
-  /// Shard of an AS (0 for every AS in serial mode).
   std::uint32_t shard_of(topology::AsId id) const {
     return shard_of_[dense_index(id)];
   }
-  /// The queue that drives `id`'s router / the table its PathIds live in.
-  /// In serial mode these are queue() and *paths() for every AS.
+  /// The queue that drives `id`'s router / the table its PathIds live in
+  /// (the one queue and *paths() for every AS when there is one shard).
   sim::EventQueue& queue_for(topology::AsId id) {
     return *shard_queues_[shard_of(id)];
   }
@@ -113,7 +102,7 @@ class Network {
 
   /// Minimum link delay across partition-cut edges — the upper bound on the
   /// sharded engine's lookahead. Duration max when no edge crosses a cut
-  /// (serial mode or a one-shard partition).
+  /// (one shard).
   sim::Duration min_cut_delay() const { return min_cut_delay_; }
 
   /// ShardedEngine dispatcher hook: if `cap` is one of this network's
@@ -154,8 +143,7 @@ class Network {
   };
 
   /// One delivery slab per shard: a round worker allocates and frees only in
-  /// its own shard's slab, so the hot path stays lock-free under sharding
-  /// (serial mode has exactly one slab).
+  /// its own shard's slab, so the hot path stays lock-free under sharding.
   struct DeliverySlab {
     std::vector<PendingDelivery> slots;
     std::vector<std::uint32_t> free;
@@ -169,10 +157,6 @@ class Network {
   /// otherwise produce a bogus uint32 index into routers_/links_).
   std::uint32_t dense_index(topology::AsId id) const;
 
-  /// Shared constructor body; shard_queues_/shard_tables_/shard_of_ are
-  /// already populated (one entry in serial mode).
-  void build(stats::Rng& rng);
-
   static std::uint32_t alloc_slot(DeliverySlab& slab);
 
   /// `a` = slot index, `b` = slab (shard) index.
@@ -184,15 +168,11 @@ class Network {
 
   const topology::AsGraph& graph_;
   NetworkConfig config_;
-  sim::EventQueue& queue_;
   std::shared_ptr<topology::PathTable> paths_;
-  /// Per-shard wiring; serial mode holds exactly {&queue_} / {paths_} / 0s.
   std::vector<sim::EventQueue*> shard_queues_;
   std::vector<std::shared_ptr<topology::PathTable>> shard_tables_;
   std::vector<std::uint32_t> shard_of_;
-  /// Built through the sharded constructor (any shard count, including 1).
-  bool sharded_ = false;
-  /// Seed of the per-session jitter hash streams (sharded mode only).
+  /// Seed of the per-session jitter hash streams.
   std::uint64_t jitter_seed_ = 0;
   sim::Duration min_cut_delay_ = std::numeric_limits<sim::Duration>::max();
   /// Sorted AS ids; position = dense index used by routers_ and the CSR.

@@ -52,8 +52,8 @@ const Router::NeighborEntry* Router::find_neighbor(topology::AsId id) const {
 
 void Router::connect(topology::AsId neighbor, topology::Relation relation,
                      sim::Duration mrai, bool mrai_on_withdrawals,
-                     Session::SendFn deliver, stats::Rng* jitter_rng,
-                     double jitter, std::uint64_t jitter_hash_key) {
+                     Session::SendFn deliver, double jitter,
+                     std::uint64_t jitter_key) {
   if (neighbor == id_) throw std::invalid_argument("Router: self session");
   const auto it = std::lower_bound(
       neighbors_.begin(), neighbors_.end(), neighbor,
@@ -65,8 +65,7 @@ void Router::connect(topology::AsId neighbor, topology::Relation relation,
   entry.relation = relation;
   entry.session = std::make_unique<Session>(
       id_, neighbor, relation, mrai, mrai_on_withdrawals, std::move(deliver),
-      jitter_rng, jitter);
-  if (jitter_hash_key != 0) entry.session->use_hashed_jitter(jitter_hash_key);
+      jitter, jitter_key);
   neighbors_.insert(it, std::move(entry));
   adj_rib_in_.add_neighbor(neighbor);
 }

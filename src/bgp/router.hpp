@@ -68,15 +68,14 @@ class Router {
   topology::AsId id() const { return id_; }
 
   /// Create the outbound session to `neighbor`. `deliver` is called when an
-  /// update clears MRAI; the Network adds the link delay. `jitter_rng`
-  /// (optional, must outlive the router) enables MRAI jitter. A nonzero
-  /// `jitter_hash_key` switches the session to counter-hash jitter
-  /// (Session::use_hashed_jitter) so draws are independent of cross-session
-  /// interleaving — required for the sharded engine's bit-identity.
+  /// update clears MRAI; the Network adds the link delay. A nonzero
+  /// `jitter` enables MRAI jitter drawn from the session's counter-hash
+  /// stream keyed by `jitter_key` (see Session), so draws are independent of
+  /// cross-session interleaving.
   void connect(topology::AsId neighbor, topology::Relation relation,
                sim::Duration mrai, bool mrai_on_withdrawals,
-               Session::SendFn deliver, stats::Rng* jitter_rng = nullptr,
-               double jitter = 0.25, std::uint64_t jitter_hash_key = 0);
+               Session::SendFn deliver, double jitter = 0.0,
+               std::uint64_t jitter_key = 0);
 
   /// Append an RFD rule (first match wins).
   void add_damping_rule(DampingRule rule);

@@ -17,42 +17,32 @@ Session::~Session() {
 
 Session::Session(topology::AsId local, topology::AsId remote,
                  topology::Relation relation_to_remote, sim::Duration mrai,
-                 bool mrai_on_withdrawals, SendFn send, stats::Rng* jitter_rng,
-                 double jitter)
+                 bool mrai_on_withdrawals, SendFn send, double jitter,
+                 std::uint64_t jitter_key)
     : local_(local),
       remote_(remote),
       relation_(relation_to_remote),
       mrai_(mrai),
       mrai_on_withdrawals_(mrai_on_withdrawals),
       send_(std::move(send)),
-      jitter_rng_(jitter_rng),
-      jitter_(jitter) {
+      jitter_(jitter),
+      jitter_key_(jitter_key) {
   if (!send_) throw std::invalid_argument("Session: null send function");
   if (mrai_ < 0) throw std::invalid_argument("Session: negative MRAI");
   if (jitter_ < 0.0 || jitter_ > 1.0)
     throw std::invalid_argument("Session: jitter outside [0,1]");
 }
 
-void Session::use_hashed_jitter(std::uint64_t key) {
-  BECAUSE_CHECK(key != 0, "Session: hashed-jitter key must be nonzero");
-  jitter_key_ = key;
-}
-
 sim::Duration Session::draw_mrai() {
-  if (jitter_key_ != 0) {
-    if (jitter_ <= 0.0 || mrai_ == 0) return mrai_;
-    // splitmix64 over (key, draw index): a per-session stream whose value
-    // never depends on other sessions' draw interleaving.
-    std::uint64_t z = jitter_key_ + 0x9e3779b97f4a7c15ULL * ++jitter_draws_;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    z ^= z >> 31;
-    const double u = static_cast<double>(z >> 11) * 0x1.0p-53;
-    const double factor = (1.0 - jitter_) + jitter_ * u;
-    return static_cast<sim::Duration>(static_cast<double>(mrai_) * factor);
-  }
-  if (jitter_rng_ == nullptr || jitter_ <= 0.0 || mrai_ == 0) return mrai_;
-  const double factor = jitter_rng_->uniform(1.0 - jitter_, 1.0);
+  if (jitter_ <= 0.0 || mrai_ == 0) return mrai_;
+  // splitmix64 over (key, draw index): a per-session stream whose value
+  // never depends on other sessions' draw interleaving.
+  std::uint64_t z = jitter_key_ + 0x9e3779b97f4a7c15ULL * ++jitter_draws_;
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  z ^= z >> 31;
+  const double u = static_cast<double>(z >> 11) * 0x1.0p-53;
+  const double factor = (1.0 - jitter_) + jitter_ * u;
   return static_cast<sim::Duration>(static_cast<double>(mrai_) * factor);
 }
 

@@ -18,7 +18,6 @@
 
 #include "bgp/message.hpp"
 #include "sim/event_queue.hpp"
-#include "stats/rng.hpp"
 #include "topology/as_graph.hpp"
 
 namespace because::bgp {
@@ -29,13 +28,18 @@ class Session {
   /// delay); Session only decides *when* to hand updates to it.
   using SendFn = std::function<void(const Update&)>;
 
-  /// `jitter_rng` (optional) enables MRAI jitter: after each send the next
+  /// A nonzero `jitter` enables MRAI jitter: after each send the next
   /// window is drawn uniformly from [(1 - jitter) * mrai, mrai], as RFC 4271
-  /// recommends, which desynchronises update races across sessions.
+  /// recommends, which desynchronises update races across sessions. Draws
+  /// come from a counter-hash stream keyed by `jitter_key`: each mixes (key,
+  /// draw index) through splitmix64, so the sequence is a pure function of
+  /// the session's identity — independent of how many other sessions draw
+  /// in between, which keeps results shard-count-invariant in the
+  /// space-parallel engine.
   Session(topology::AsId local, topology::AsId remote,
           topology::Relation relation_to_remote, sim::Duration mrai,
-          bool mrai_on_withdrawals, SendFn send,
-          stats::Rng* jitter_rng = nullptr, double jitter = 0.25);
+          bool mrai_on_withdrawals, SendFn send, double jitter = 0.0,
+          std::uint64_t jitter_key = 0);
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
   /// Publishes the send/elision tallies to the obs registry when enabled.
@@ -60,15 +64,6 @@ class Session {
   /// on this session without sending anything (bgp/static_converge.cpp).
   /// BECAUSE_CHECK fails on a withdrawal.
   void seed_advertised(const Update& update);
-
-  /// Switch MRAI jitter from the shared jitter_rng stream to a counter-hash
-  /// stream keyed by `key` (must be nonzero). Each draw mixes (key, draw
-  /// index) through splitmix64, so the sequence is a pure function of the
-  /// session's identity — independent of how many other sessions draw in
-  /// between, which is what makes jitter shard-count-invariant in the
-  /// space-parallel engine. The jitter width still comes from the `jitter`
-  /// constructor argument (and jitter_rng may be null in this mode).
-  void use_hashed_jitter(std::uint64_t key);
 
   std::uint64_t updates_sent() const { return updates_sent_; }
   std::uint64_t sends_elided() const { return sends_elided_; }
@@ -103,10 +98,8 @@ class Session {
   sim::Duration mrai_;
   bool mrai_on_withdrawals_;
   SendFn send_;
-  stats::Rng* jitter_rng_;
   double jitter_;
-  /// Nonzero = hashed-jitter mode (use_hashed_jitter); draws_ counts draws.
-  std::uint64_t jitter_key_ = 0;
+  std::uint64_t jitter_key_;
   std::uint64_t jitter_draws_ = 0;
   /// Sorted by key; sessions see tens of prefixes, so a flat binary-searched
   /// vector beats the old per-message unordered_map hashing.

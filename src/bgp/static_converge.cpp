@@ -48,11 +48,11 @@ void merge(Best& cur, const Best& cand, const Prefix& prefix,
   if (prefer(a, b, paths)) cur = cand;
 }
 
-/// Sharded mode: the sweep computes everything in one table (`sweep`), but a
+/// The sweep computes everything in one table (`sweep`, shard 0's), but a
 /// router's seeded state must use PathIds from its own shard's table — the
 /// ids it will produce and compare against at runtime. Interning across two
 /// distinct tables is safe (interning into dst never invalidates sweep's
-/// spans; the tables differ whenever this is called with work to do).
+/// spans); a router on shard 0 keeps the sweep's id as is.
 topology::PathId localize(Network& network, const topology::PathTable& sweep,
                           topology::AsId owner, topology::PathId path) {
   if (path == topology::kEmptyPath) return path;
@@ -68,7 +68,6 @@ StaticConvergeStats static_converge(Network& network,
   StaticConvergeStats stats;
   const topology::AsGraph& graph = network.graph();
   topology::PathTable& paths = *network.paths();
-  const bool is_sharded = network.sharded();
   const topology::HierarchyRanking ranking = topology::rank_hierarchy(graph);
   const std::size_t n = ranking.ids.size();
 
@@ -189,13 +188,12 @@ StaticConvergeStats static_converge(Network& network,
         const Update sent{UpdateType::kAnnouncement, prefix,
                           paths.prepend(u, bu.path), bu.ts};
         Update sent_u = sent;
-        if (is_sharded) sent_u.path = localize(network, paths, u, sent.path);
+        sent_u.path = localize(network, paths, u, sent.path);
         network.router(u).seed_advertised(v, sent_u);
         ++stats.seeded_sessions;
         if (paths.contains(sent.path, v)) continue;  // v drops the loop
         if (rov[vi]) continue;                       // v drops RPKI-invalid
-        topology::PathId path_v = sent.path;
-        if (is_sharded) path_v = localize(network, paths, v, sent.path);
+        const topology::PathId path_v = localize(network, paths, v, sent.path);
         network.router(v).seed_adj_route(
             u, Route{prefix, path_v, sent.beacon_timestamp});
         ++stats.seeded_routes;
@@ -219,8 +217,7 @@ StaticConvergeStats static_converge(Network& network,
       const bool neighbor_match =
           bv.local ? !sel->neighbor.has_value()
                    : (sel->neighbor.has_value() && *sel->neighbor == bv.neighbor);
-      topology::PathId expect_path = bv.path;
-      if (is_sharded) expect_path = localize(network, paths, v, bv.path);
+      const topology::PathId expect_path = localize(network, paths, v, bv.path);
       BECAUSE_CHECK(neighbor_match && sel->route.path == expect_path &&
                         sel->route.beacon_timestamp == bv.ts,
                     "static_converge: phase/decision divergence at AS " << v);

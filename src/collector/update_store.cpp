@@ -112,34 +112,35 @@ void UpdateStore::discard_invalid_aggregators() {
   rebuild_indices();
 }
 
-void UpdateStore::merge_shards(const std::vector<const UpdateStore*>& shards) {
-  if (!records_.empty())
-    throw std::invalid_argument("UpdateStore: merge target not empty");
+UpdateStore UpdateStore::merge_shards(std::vector<UpdateStore> shards) {
+  if (shards.empty())
+    throw std::invalid_argument("UpdateStore: no shard stores to merge");
+  if (shards.size() == 1) return std::move(shards[0]);
+  UpdateStore merged;
+  merged.vps_ = shards[0].vps_;
   struct Ref {
     const UpdateStore* store;
     std::size_t index;
   };
   std::vector<Ref> order;
   std::size_t total = 0;
-  for (const UpdateStore* shard : shards) {
-    if (shard == nullptr)
-      throw std::invalid_argument("UpdateStore: null shard store");
-    if (shard->vps_.size() != vps_.size())
+  for (const UpdateStore& shard : shards) {
+    if (shard.vps_.size() != merged.vps_.size())
       throw std::invalid_argument("UpdateStore: shard VP directory mismatch");
-    total += shard->records_.size();
+    BECAUSE_CHECK(shard.seqs_.size() == shard.records_.size(),
+                  "UpdateStore: shard seq log out of sync ("
+                      << shard.seqs_.size() << " seqs, "
+                      << shard.records_.size() << " records)");
+    total += shard.records_.size();
   }
   order.reserve(total);
-  for (const UpdateStore* shard : shards) {
-    BECAUSE_CHECK(shard->seqs_.size() == shard->records_.size(),
-                  "UpdateStore: shard seq log out of sync ("
-                      << shard->seqs_.size() << " seqs, "
-                      << shard->records_.size() << " records)");
-    for (std::size_t i = 0; i < shard->records_.size(); ++i) {
-      BECAUSE_CHECK((shard->seqs_[i] & sim::EventQueue::kProvisionalBit) == 0,
+  for (const UpdateStore& shard : shards) {
+    for (std::size_t i = 0; i < shard.records_.size(); ++i) {
+      BECAUSE_CHECK((shard.seqs_[i] & sim::EventQueue::kProvisionalBit) == 0,
                     "UpdateStore: record carries a provisional seq — a "
                     "collector export was scheduled under the engine "
                     "lookahead");
-      order.push_back(Ref{shard, i});
+      order.push_back(Ref{&shard, i});
     }
   }
   // (recorded_at, seq) is the serial recording order: the queue pops by it,
@@ -150,19 +151,14 @@ void UpdateStore::merge_shards(const std::vector<const UpdateStore*>& shards) {
     if (ra.recorded_at != rb.recorded_at) return ra.recorded_at < rb.recorded_at;
     return a.store->seqs_[a.index] < b.store->seqs_[b.index];
   });
-  records_.reserve(total);
+  merged.records_.reserve(total);
   for (const Ref& ref : order) {
-    RecordedUpdate rec = ref.store->records_[ref.index];
-    // Re-intern into the canonical table — unless the shard already shares
-    // it (interning a table's own span while it may grow is not safe).
-    if (ref.store->paths_ != paths_)
-      rec.update.path = paths_->intern(ref.store->path_of(rec));
-    const std::size_t idx = records_.size();
-    by_stream_[stream_key(rec.vp, rec.update.prefix)].push_back(idx);
-    by_prefix_[rec.update.prefix].push_back(idx);
-    records_.push_back(rec);
-    seqs_.push_back(ref.store->seqs_[ref.index]);
+    const RecordedUpdate& rec = ref.store->records_[ref.index];
+    bgp::Update update = rec.update;
+    update.path = merged.paths_->intern(ref.store->path_of(rec));
+    merged.record(rec.vp, rec.recorded_at, update, ref.store->seqs_[ref.index]);
   }
+  return merged;
 }
 
 }  // namespace because::collector

@@ -98,15 +98,15 @@ class UpdateStore {
   /// Clears the per-record seq log, so merge_shards must run first.
   void discard_invalid_aggregators();
 
-  /// Absorb the records of K per-shard stores into this (empty) canonical
-  /// store, restoring the exact serial recording order. Every shard record
-  /// carries the global seq of its recording event (all records survive a
-  /// round boundary thanks to the collector export-delay floor, so none holds
-  /// a provisional seq — checked), and the event queue's pop order makes
-  /// (recorded_at, seq) the serial record order. Paths are re-interned from
-  /// each shard's table into this store's table; all shard stores must have
-  /// registered the same VP directory as this store (checked).
-  void merge_shards(const std::vector<const UpdateStore*>& shards);
+  /// Merge K per-shard stores into one, restoring the exact serial recording
+  /// order. Every shard record carries the global seq of its recording event
+  /// (all records survive a round boundary thanks to the collector
+  /// export-delay floor, so none holds a provisional seq — checked), and the
+  /// event queue's pop order makes (recorded_at, seq) the serial record
+  /// order. One store is already in that order and is returned as is, table
+  /// included; K > 1 re-intern their paths into a fresh table. All shard
+  /// stores must have registered the same VP directory (checked).
+  static UpdateStore merge_shards(std::vector<UpdateStore> shards);
 
  private:
   /// Typed-event trampoline for schedule_record; `a` is the pending slot.

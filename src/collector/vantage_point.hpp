@@ -6,6 +6,8 @@
 // lose their beacon timestamp (the paper's ~1% invalid-aggregator noise).
 #pragma once
 
+#include <span>
+
 #include "bgp/network.hpp"
 #include "collector/update_store.hpp"
 #include "stats/rng.hpp"
@@ -19,21 +21,16 @@ struct VantagePointConfig {
   double missing_aggregator_prob = 0.0;
 };
 
-/// Registers the VP in `store`, draws its export delay, and taps the
-/// router's full feed. `rng` must outlive the network simulation (noise is
-/// drawn at record time).
-VpId attach_vantage_point(bgp::Network& network, UpdateStore& store,
-                          const VantagePointConfig& config, stats::Rng& rng);
-
-/// Sharded-campaign variant: taps the router's feed into `store` with a
-/// pre-registered VP id and a pre-drawn export delay, scheduling on the VP
-/// AS's shard queue. `noise_lane` (nullable; must outlive the simulation) is
-/// a per-VP noise stream so record-time draws are independent of how other
-/// shards interleave — the campaign forks one lane per VP in registration
-/// order, which keeps the draws shard-count-invariant.
-void attach_vantage_point_tap(bgp::Network& network, UpdateStore& store,
-                              VpId id, sim::Duration export_delay,
-                              const VantagePointConfig& config,
-                              stats::Rng* noise_lane);
+/// Draws the VP's export delay from `rng`, registers the VP in every store
+/// of `stores` (one per network shard, so each carries the same VP
+/// directory), and taps the router's full feed into its own shard's store,
+/// recording on that shard's queue. With a nonzero missing_aggregator_prob
+/// the tap owns a noise lane forked from `lane_source` (which may be `rng`
+/// itself), so record-time draws depend only on this VP's own feed — not on
+/// how the rest of the network (or the shards) interleave — and callers
+/// attaching VPs in a fixed order get shard-count-invariant noise.
+VpId attach_vantage_point(bgp::Network& network, std::span<UpdateStore> stores,
+                          const VantagePointConfig& config, stats::Rng& rng,
+                          stats::Rng& lane_source);
 
 }  // namespace because::collector

@@ -9,7 +9,6 @@
 #include "obs/metrics.hpp"
 #include "stats/rng.hpp"
 #include "util/contracts.hpp"
-#include "util/thread_pool.hpp"
 
 namespace because::core {
 
@@ -41,17 +40,12 @@ double log_target(const Likelihood& lik, const Prior& prior,
   return lik.log_likelihood(p_buf) + prior.log_density(p_buf) + jacobian;
 }
 
-/// Gradient of log_target with respect to theta. When `pool` is non-null
-/// and `shards` > 1 the likelihood gradient is range-split across it.
+/// Gradient of log_target with respect to theta.
 void grad_log_target(const Likelihood& lik, const Prior& prior,
                      std::span<const double> theta, std::vector<double>& p_buf,
-                     std::vector<double>& grad_p, std::span<double> grad_theta,
-                     util::ThreadPool* pool, std::size_t shards) {
+                     std::vector<double>& grad_p, std::span<double> grad_theta) {
   to_p(theta, p_buf);
-  if (pool != nullptr && shards > 1)
-    lik.gradient(p_buf, grad_p, *pool, shards);
-  else
-    lik.gradient(p_buf, grad_p);
+  lik.gradient(p_buf, grad_p);
   prior.add_gradient(p_buf, grad_p);
   for (std::size_t i = 0; i < theta.size(); ++i) {
     const double p = std::clamp(p_buf[i], 1e-12, 1.0 - 1e-12);
@@ -67,18 +61,15 @@ void HmcConfig::validate() const {
   if (step_size <= 0.0) throw std::invalid_argument("HmcConfig: step_size <= 0");
   if (leapfrog_steps == 0)
     throw std::invalid_argument("HmcConfig: leapfrog_steps == 0");
-  if (gradient_shards == 0)
-    throw std::invalid_argument("HmcConfig: gradient_shards == 0");
   if (adapt_step_size && (target_accept <= 0.0 || target_accept >= 1.0))
     throw std::invalid_argument("HmcConfig: target_accept outside (0, 1)");
 }
 
 HmcSampler::HmcSampler(const Likelihood& likelihood, const Prior& prior,
-                       const HmcConfig& config, util::ThreadPool* pool)
+                       const HmcConfig& config)
     : likelihood_(likelihood),
       prior_(prior),
       config_(config),
-      pool_(pool),
       rng_(config.seed),
       step_size_(config.step_size),
       mu_(std::log(10.0 * config.step_size)) {
@@ -110,7 +101,7 @@ void HmcSampler::iterate() {
 
   theta_prop_ = theta_;
   grad_log_target(likelihood_, prior_, theta_prop_, p_buf_, grad_p_,
-                  grad_prop_, pool_, config_.gradient_shards);
+                  grad_prop_);
 
   // Leapfrog integration.
   for (std::size_t step = 0; step < config_.leapfrog_steps; ++step) {
@@ -121,7 +112,7 @@ void HmcSampler::iterate() {
       theta_prop_[i] = std::clamp(theta_prop_[i], -kThetaClamp, kThetaClamp);
     }
     grad_log_target(likelihood_, prior_, theta_prop_, p_buf_, grad_p_,
-                    grad_prop_, pool_, config_.gradient_shards);
+                    grad_prop_);
     for (std::size_t i = 0; i < dim; ++i)
       momentum_[i] += 0.5 * step_size_ * grad_prop_[i];
   }
@@ -238,12 +229,12 @@ void HmcSampler::flush_obs() {
 }
 
 Chain run_hmc(const Likelihood& likelihood, const Prior& prior,
-              const HmcConfig& config, util::ThreadPool* pool) {
+              const HmcConfig& config) {
   config.validate();
   const std::size_t dim = likelihood.dim();
   if (dim == 0) throw std::invalid_argument("run_hmc: empty dataset");
 
-  HmcSampler sampler(likelihood, prior, config, pool);
+  HmcSampler sampler(likelihood, prior, config);
   Chain chain(dim);
   const std::size_t total = config.burn_in + config.samples;
   for (std::size_t iter = 0; iter < total; ++iter) {

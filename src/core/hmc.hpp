@@ -29,10 +29,6 @@
 #include "core/likelihood.hpp"
 #include "core/prior.hpp"
 
-namespace because::util {
-class ThreadPool;
-}
-
 namespace because::core {
 
 struct HmcConfig {
@@ -41,11 +37,6 @@ struct HmcConfig {
   double step_size = 0.05;     ///< leapfrog step epsilon
   std::size_t leapfrog_steps = 20;
   std::uint64_t seed = 2;
-  /// When > 1 and a pool is passed to run_hmc, each leapfrog gradient is
-  /// split into this many observation ranges evaluated on idle pool
-  /// workers. The shard count (not the pool size) fixes the reduction
-  /// order, so results are deterministic for a given value.
-  std::size_t gradient_shards = 1;
 
   /// Dual-averaging step-size adaptation (Hoffman & Gelman 2014, Algorithm
   /// 5's schedule with Stan's defaults). During burn-in the step size chases
@@ -91,10 +82,9 @@ struct HmcSamplerState {
 class HmcSampler {
  public:
   /// Draws the initial position from the prior (the same stream run_hmc
-  /// consumed). `likelihood` and `prior` must outlive the sampler; `pool`
-  /// (optional) range-splits gradients when config.gradient_shards > 1.
+  /// consumed). `likelihood` and `prior` must outlive the sampler.
   HmcSampler(const Likelihood& likelihood, const Prior& prior,
-             const HmcConfig& config, util::ThreadPool* pool = nullptr);
+             const HmcConfig& config);
 
   /// Run exactly one trajectory: momentum draw, leapfrog integration,
   /// accept/reject, and (during burn-in) the dual-averaging update.
@@ -132,7 +122,6 @@ class HmcSampler {
   const Likelihood& likelihood_;
   const Prior& prior_;
   HmcConfig config_;
-  util::ThreadPool* pool_;
 
   stats::Rng rng_;
   std::vector<double> theta_;
@@ -161,10 +150,8 @@ class HmcSampler {
 };
 
 /// Run the sampler; the initial state is drawn from the prior. The returned
-/// chain stores samples of p (already mapped back from theta). When `pool`
-/// is non-null and config.gradient_shards > 1, gradient evaluations are
-/// range-split across the pool.
+/// chain stores samples of p (already mapped back from theta).
 Chain run_hmc(const Likelihood& likelihood, const Prior& prior,
-              const HmcConfig& config, util::ThreadPool* pool = nullptr);
+              const HmcConfig& config);
 
 }  // namespace because::core

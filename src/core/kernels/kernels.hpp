@@ -160,7 +160,7 @@ extern const KernelTable kAvx512Table;
 #endif
 
 /// Scalar building blocks exported to the vector translation units for the
-/// block-unaligned edges of sharded gradient ranges (defined in scalar.cpp,
+/// block-unaligned edges of observation ranges (defined in scalar.cpp,
 /// compiled with baseline flags, so they are safe to call at any level).
 double scalar_pair_product(const std::uint32_t* nodes, std::size_t lo,
                            std::size_t hi, const double* q);

@@ -6,7 +6,6 @@
 
 #include "core/kernels/dispatch.hpp"
 #include "core/kernels/kernels.hpp"
-#include "util/thread_pool.hpp"
 
 namespace because::core {
 
@@ -16,10 +15,6 @@ static_assert(kernels::kProbFloor == Likelihood::kProbFloor,
               "kernel probability floor must match the Likelihood contract");
 
 namespace {
-
-/// Observations per kernel call: bounds the staging buffer while amortizing
-/// dispatch; a multiple of every lane width (4 and 8).
-constexpr std::size_t kChunk = 512;
 
 kernels::ObsCoeffs coeffs(const NoiseModel& noise) {
   // P(obs) = c0[label] + c1[label] * prod (branchless label select):
@@ -118,31 +113,6 @@ double Likelihood::log_likelihood(std::span<const double> p) const {
   return table.ll_sum(view, q.data(), c);
 }
 
-void Likelihood::gradient_range(std::span<const double> q,
-                                std::span<double> grad, std::size_t begin,
-                                std::size_t end) const {
-  const kernels::KernelTable& table = kernels::table();
-  const kernels::DatasetView view = make_view(data_, table);
-  const kernels::ObsCoeffs c = coeffs(noise_);
-  const std::span<const std::uint32_t> nodes = data_.flat_nodes();
-  const std::span<const std::uint32_t> offsets = data_.flat_offsets();
-
-  // P = c0[label] + c1[label] * prod; d log P / dp_k = -c1 * (prod / q_k) / P.
-  // The kernel computes each observation's weight w = -c1 * prod / P; the
-  // scatter stays scalar and in path order (deterministic accumulation), and
-  // the caller divides the accumulated grad by q afterwards.
-  double weights[kChunk];
-  for (std::size_t chunk = begin; chunk < end; chunk += kChunk) {
-    const std::size_t stop = std::min(end, chunk + kChunk);
-    table.grad_weights(view, q.data(), c, chunk, stop, weights);
-    for (std::size_t j = chunk; j < stop; ++j) {
-      const double w = weights[j - chunk];
-      for (std::size_t k = offsets[j]; k < offsets[j + 1]; ++k)
-        grad[nodes[k]] += w;
-    }
-  }
-}
-
 void Likelihood::gradient(std::span<const double> p, std::span<double> grad) const {
   if (p.size() != dim() || grad.size() != dim())
     throw std::invalid_argument("Likelihood::gradient: dim mismatch");
@@ -151,59 +121,16 @@ void Likelihood::gradient(std::span<const double> p, std::span<double> grad) con
   const kernels::DatasetView view = make_view(data_, table);
   const std::size_t paths = data_.path_count();
 
-  // Full-range pass: materialize every observation's weight, then sum per
-  // node over the transposed CSR — bit-identical to the path-order scatter
-  // (gradient_range, kept for sharded subranges) but latency-friendly:
-  // per-node sums replace the store-forwarding-bound scatter.
+  // P = c0[label] + c1[label] * prod; d log P / dp_k = -c1 * (prod / q_k) / P.
+  // Materialize every observation's weight w = -c1 * prod / P, then sum per
+  // node over the transposed CSR — bit-identical to a path-order scatter
+  // but latency-friendly: per-node sums replace the store-forwarding-bound
+  // scatter. The 1/q_k factor is applied per coordinate at the end.
   std::vector<double> weights(paths + 1);
   table.grad_weights(view, q.data(), coeffs(noise_), 0, paths, weights.data());
   weights[paths] = -0.0;  // additive identity for padded gather lanes
   table.grad_accumulate(view, make_transposed(data_, table), weights.data(),
                         grad.data());
-  for (std::size_t i = 0; i < grad.size(); ++i) grad[i] /= q[i];
-}
-
-void Likelihood::gradient(std::span<const double> p, std::span<double> grad,
-                          util::ThreadPool& pool, std::size_t shards) const {
-  if (p.size() != dim() || grad.size() != dim())
-    throw std::invalid_argument("Likelihood::gradient: dim mismatch");
-  const std::size_t paths = data_.path_count();
-  shards = std::max<std::size_t>(1, std::min(shards, paths == 0 ? 1 : paths));
-  if (shards == 1) {
-    gradient(p, grad);
-    return;
-  }
-
-  const kernels::KernelTable& table = kernels::table();
-  const std::vector<double> q = clamped_q(p, table);
-  // Build the shared lazy structures up front so pool workers only read.
-  (void)make_view(data_, table);
-
-  std::vector<std::vector<double>> partial(shards,
-                                           std::vector<double>(dim(), 0.0));
-  std::vector<std::future<void>> futures;
-  futures.reserve(shards);
-  for (std::size_t s = 0; s < shards; ++s) {
-    const std::size_t begin = paths * s / shards;
-    const std::size_t end = paths * (s + 1) / shards;
-    futures.push_back(pool.submit([this, &q, &partial, s, begin, end] {
-      gradient_range(q, partial[s], begin, end);
-    }));
-  }
-  std::exception_ptr first_error;
-  for (std::future<void>& f : futures) {
-    try {
-      f.get();
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
-    }
-  }
-  if (first_error) std::rethrow_exception(first_error);
-
-  // Shard-order reduction: fixed shard count => fixed summation order.
-  std::fill(grad.begin(), grad.end(), 0.0);
-  for (std::size_t s = 0; s < shards; ++s)
-    for (std::size_t i = 0; i < grad.size(); ++i) grad[i] += partial[s][i];
   for (std::size_t i = 0; i < grad.size(); ++i) grad[i] /= q[i];
 }
 

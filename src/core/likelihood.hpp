@@ -33,10 +33,6 @@
 
 #include "labeling/dataset.hpp"
 
-namespace because::util {
-class ThreadPool;
-}
-
 namespace because::core {
 
 /// Label-flip noise rates (§7.2's explicit error model).
@@ -71,27 +67,12 @@ class Likelihood {
   /// overwrites `grad`.
   void gradient(std::span<const double> p, std::span<double> grad) const;
 
-  /// Range-split gradient: the observations are partitioned into `shards`
-  /// contiguous ranges evaluated on `pool`, each accumulating into its own
-  /// buffer, then reduced in shard order. Deterministic for a fixed shard
-  /// count (independent of pool size); lets a single HMC chain use idle
-  /// pool workers.
-  void gradient(std::span<const double> p, std::span<double> grad,
-                util::ThreadPool& pool, std::size_t shards) const;
-
   /// Numerical floor for q = 1 - p, keeping logs finite.
   static constexpr double kQFloor = 1e-12;
   /// Floor for observation probabilities.
   static constexpr double kProbFloor = 1e-300;
 
  private:
-  /// Serial gradient accumulation over observations [begin, end); `q` holds
-  /// dim() + 1 entries (the kernel gather sentinel q[dim] == 1.0), `grad`
-  /// must be zeroed by the caller and is left *un-divided* by q — the
-  /// caller applies the final per-coordinate 1/q scaling after reduction.
-  void gradient_range(std::span<const double> q, std::span<double> grad,
-                      std::size_t begin, std::size_t end) const;
-
   const labeling::PathDataset& data_;
   NoiseModel noise_;
 };

@@ -143,15 +143,11 @@ MultiChainResult run_metropolis_chains(const Likelihood& likelihood,
 MultiChainResult run_hmc_chains(const Likelihood& likelihood,
                                 const Prior& prior, const HmcConfig& config,
                                 std::size_t n_chains, util::ThreadPool* pool) {
-  // Chains already occupy the pool, and a chain blocking on its own shard
-  // futures could starve a small pool, so pooled HMC runs serial gradients;
-  // gradient_shards is honoured by single-chain run_hmc.
   MultiChainResult result =
       run_chains(likelihood, n_chains, pool,
                  [&likelihood, &prior, &config](std::size_t c) {
                    HmcConfig chain_config = config;
                    chain_config.seed = config.seed + c;
-                   chain_config.gradient_shards = 1;
                    return run_hmc(likelihood, prior, chain_config);
                  });
   if (obs::enabled() && config.adapt_step_size)

@@ -51,8 +51,6 @@ MultiChainResult run_metropolis_chains(const Likelihood& likelihood,
                                        util::ThreadPool* pool = nullptr);
 
 /// Same runner for HMC chains (seeds config.seed, config.seed+1, ...).
-/// config.gradient_shards > 1 additionally splits each chain's gradient
-/// over idle pool workers.
 MultiChainResult run_hmc_chains(const Likelihood& likelihood,
                                 const Prior& prior, const HmcConfig& config,
                                 std::size_t n_chains = 4,

@@ -16,9 +16,8 @@ namespace because::experiment {
 
 namespace {
 
-/// Graph, beacon sites, and deployment plan — the setup stage shared
-/// verbatim by the serial and sharded paths (draw-for-draw identical on
-/// `rng`, which is the anchor of the cross-mode determinism contract).
+/// Graph, beacon sites, and deployment plan: the first draws on `rng`,
+/// before any shard-dependent setup.
 void build_graph_and_plan(const CampaignConfig& config, stats::Rng& rng,
                           CampaignResult& result) {
   result.graph = topology::generate(config.topology, rng);
@@ -62,8 +61,6 @@ void build_graph_and_plan(const CampaignConfig& config, stats::Rng& rng,
   stats::Rng deploy_rng = rng.fork();
   result.plan = plan_deployment(result.graph, deployment_config, deploy_rng);
 }
-
-CampaignResult run_campaign_sharded(const CampaignConfig& config);
 
 }  // namespace
 
@@ -137,238 +134,9 @@ CampaignResult run_campaign(const CampaignConfig& config) {
     throw std::invalid_argument("run_campaign: need at least one beacon site");
   if (config.update_intervals.empty())
     throw std::invalid_argument("run_campaign: need at least one update interval");
-  if (config.shards > 0) return run_campaign_sharded(config);
+  if (config.shards == 0)
+    throw std::invalid_argument("run_campaign: need at least one shard");
 
-  CampaignResult result;
-  result.config = config;
-
-  stats::Rng rng(config.seed);
-  build_graph_and_plan(config, rng, result);
-
-  sim::EventQueue queue;
-  stats::Rng net_rng = rng.fork();
-  auto paths = std::make_shared<topology::PathTable>();
-  bgp::Network network(result.graph, config.network, queue, net_rng, paths);
-  result.store = collector::UpdateStore(paths);  // outlives the network
-  result.plan.apply(network);
-
-  // Converged-baseline warm start: establish the "already converged
-  // Internet" before any beacon flaps, either by draining the real event
-  // cascade (kDynamic, the reference) or by seeding converged RIBs directly
-  // (kStatic, the Internet-scale path). Both consume the fork identically,
-  // so beacon-phase randomness matches between the modes; with kNone this
-  // whole block is skipped and the campaign is byte-identical to before.
-  sim::Time schedule_offset = 0;
-  if (config.warm_start.mode != WarmStart::kNone) {
-    stats::Rng warm_rng = rng.fork();
-    const auto site_exclusion = result.site_set();
-    std::vector<topology::AsId> origin_pool;
-    for (topology::AsId as : result.graph.as_ids())
-      if (site_exclusion.count(as) == 0) origin_pool.push_back(as);
-    std::vector<bgp::StaticOrigin> origins;
-    for (std::size_t k = 0; k < config.warm_start.baseline_prefixes; ++k) {
-      bgp::StaticOrigin o;
-      o.as = origin_pool[warm_rng.index(origin_pool.size())];
-      o.prefix = bgp::Prefix{kBaselinePrefixBase + static_cast<std::uint32_t>(k),
-                             config.beacon_prefix_length};
-      o.beacon_timestamp = 0;
-      origins.push_back(o);
-      result.baseline.push_back(o.prefix);
-    }
-    if (config.warm_start.mode == WarmStart::kDynamic) {
-      for (const bgp::StaticOrigin& o : origins)
-        network.router(o.as).originate(o.prefix, o.beacon_timestamp);
-      queue.run();
-      BECAUSE_CHECK(queue.now() <= config.warm_start.horizon,
-                    "run_campaign: dynamic warm start overran its horizon ("
-                        << queue.now() << " > " << config.warm_start.horizon
-                        << ")");
-    } else {
-      bgp::static_converge(network, origins);
-    }
-    schedule_offset = config.warm_start.horizon;
-  }
-
-  // Traffic-engineering prepending on a few sessions (stripped by the
-  // labeling's path cleaning, but present in the raw dumps).
-  if (config.prepending_prob > 0.0) {
-    stats::Rng prepend_rng = rng.fork();
-    for (topology::AsId as : result.graph.as_ids()) {
-      for (const topology::Neighbor& nb : result.graph.neighbors(as)) {
-        if (!prepend_rng.bernoulli(config.prepending_prob)) continue;
-        network.router(as).set_export_prepending(
-            nb.id, static_cast<std::size_t>(prepend_rng.uniform_int(1, 2)));
-      }
-    }
-  }
-
-  // Vantage points across the three collector projects.
-  std::vector<topology::AsId> vp_pool;
-  const auto site_set = result.site_set();
-  for (topology::AsId as : result.graph.as_ids())
-    if (site_set.count(as) == 0) vp_pool.push_back(as);
-  stats::Rng vp_rng = rng.fork();
-  const std::size_t vp_count = std::min(config.vantage_points, vp_pool.size());
-  const auto vp_picks = vp_rng.sample_without_replacement(vp_pool.size(), vp_count);
-  const collector::Project project_cycle[3] = {collector::Project::kRipeRis,
-                                               collector::Project::kRouteViews,
-                                               collector::Project::kIsolario};
-  stats::Rng noise_rng = rng.fork();
-  for (std::size_t i = 0; i < vp_picks.size(); ++i) {
-    collector::VantagePointConfig vp_config;
-    vp_config.as = vp_pool[vp_picks[i]];
-    vp_config.project = project_cycle[i % 3];
-    vp_config.missing_aggregator_prob = config.missing_aggregator_prob;
-    result.vps.push_back(collector::attach_vantage_point(network, result.store,
-                                                         vp_config, noise_rng));
-    if (noise_rng.bernoulli(config.second_project_prob)) {
-      vp_config.project = project_cycle[(i + 1) % 3];
-      result.vps.push_back(collector::attach_vantage_point(
-          network, result.store, vp_config, noise_rng));
-    }
-  }
-
-  // Beacon and anchor schedules.
-  beacon::Controller controller(network);
-  std::uint32_t next_prefix = 1;
-  for (std::size_t s = 0; s < result.sites.size(); ++s) {
-    const topology::AsId site = result.sites[s];
-    // A small per-site stagger avoids artificial global synchronisation.
-    const sim::Time site_start =
-        schedule_offset + static_cast<sim::Time>(s) * sim::seconds(7);
-
-    for (sim::Duration interval : config.update_intervals) {
-      for (std::size_t rep = 0; rep < std::max<std::size_t>(1, config.prefixes_per_interval);
-           ++rep) {
-        BeaconDeployment b;
-        b.site = site;
-        b.site_index = s;
-        b.prefix = bgp::Prefix{next_prefix++, config.beacon_prefix_length};
-        b.update_interval = interval;
-        b.schedule.update_interval = interval;
-        b.schedule.burst_length = config.burst_length;
-        b.schedule.break_length = config.break_length;
-        b.schedule.pairs = config.pairs;
-        b.schedule.start = site_start + static_cast<sim::Time>(rep) * sim::seconds(3);
-        controller.deploy(site, b.prefix, b.schedule);
-        result.beacons.push_back(b);
-      }
-    }
-
-    if (config.include_anchor) {
-      AnchorDeployment a;
-      a.site = site;
-      a.site_index = s;
-      a.prefix = bgp::Prefix{next_prefix++, config.beacon_prefix_length};
-      a.schedule.period = config.anchor_period;
-      a.schedule.cycles = config.anchor_cycles;
-      a.schedule.start = site_start;
-      controller.deploy_anchor(site, a.prefix, a.schedule);
-      result.anchors.push_back(a);
-    }
-    if (config.include_ripe_reference) {
-      AnchorDeployment a;
-      a.site = site;
-      a.site_index = s;
-      a.prefix = bgp::Prefix{next_prefix++, config.beacon_prefix_length};
-      a.schedule.period = config.anchor_period;
-      a.schedule.cycles = config.anchor_cycles;
-      a.schedule.start = site_start + sim::minutes(13);
-      a.ripe_reference = true;
-      controller.deploy_anchor(site, a.prefix, a.schedule);
-      result.anchors.push_back(a);
-    }
-  }
-
-  // Background Internet churn: unrelated prefixes on random schedules.
-  if (config.background_prefixes > 0) {
-    stats::Rng churn_rng = rng.fork();
-    sim::Time horizon = 0;
-    for (const BeaconDeployment& b : result.beacons)
-      horizon = std::max(horizon, b.schedule.end());
-    const auto site_exclusion = result.site_set();
-    std::vector<topology::AsId> origin_pool;
-    for (topology::AsId as : result.graph.as_ids())
-      if (site_exclusion.count(as) == 0) origin_pool.push_back(as);
-
-    for (std::size_t k = 0; k < config.background_prefixes; ++k) {
-      const bgp::Prefix prefix{next_prefix++, 24};
-      result.background.push_back(prefix);
-      bgp::Router& origin = network.router(origin_pool[churn_rng.index(origin_pool.size())]);
-
-      // Churn intensity is heavy-tailed: most prefixes are quiet, a few
-      // flap far harder than any beacon.
-      std::size_t events;
-      const double roll = churn_rng.uniform();
-      if (roll < 0.70) events = static_cast<std::size_t>(churn_rng.uniform_int(2, 10));
-      else if (roll < 0.90) events = static_cast<std::size_t>(churn_rng.uniform_int(60, 240));
-      else events = static_cast<std::size_t>(churn_rng.uniform_int(800, 2000));
-
-      bool announced = false;
-      for (std::size_t e = 0; e < events; ++e) {
-        // Churn stays inside the beacon phase: with a warm start active, an
-        // event before the horizon would race the two convergence modes.
-        const sim::Time when = churn_rng.uniform_int(schedule_offset, horizon);
-        if (!announced || churn_rng.bernoulli(0.6)) {
-          queue.schedule_at(when,
-                            [&origin, prefix, when] { origin.originate(prefix, when); });
-          announced = true;
-        } else {
-          queue.schedule_at(when, [&origin, prefix] { origin.withdraw_origin(prefix); });
-        }
-      }
-    }
-  }
-
-  // Failure injection: random session resets while beacons run.
-  if (config.session_resets > 0) {
-    std::vector<std::pair<topology::AsId, topology::AsId>> links;
-    for (topology::AsId as : result.graph.as_ids())
-      for (const topology::Neighbor& nb : result.graph.neighbors(as))
-        if (as < nb.id) links.emplace_back(as, nb.id);
-    sim::Time horizon = 0;
-    for (const BeaconDeployment& b : result.beacons)
-      horizon = std::max(horizon, b.schedule.end());
-    stats::Rng reset_rng = rng.fork();
-    for (std::size_t k = 0; k < config.session_resets && !links.empty(); ++k) {
-      const auto [a, b] = links[reset_rng.index(links.size())];
-      const sim::Time when =
-          reset_rng.uniform_int(schedule_offset + sim::minutes(1), horizon);
-      queue.schedule_at(when, [&network, a = a, b = b] {
-        network.reset_session(a, b);
-      });
-    }
-  }
-
-  queue.run();
-  result.events_executed = queue.executed();
-  if (obs::enabled()) {
-    obs::add(obs::Counter::kCampaignCells, 1);
-    obs::add(obs::Counter::kCampaignEvents, result.events_executed);
-  }
-  // One span covering the whole simulated horizon of this cell; the runner
-  // sets the lane, so per-cell spans land on separate Perfetto tracks.
-  obs::trace_complete("campaign.run", 0, queue.now());
-
-  result.store.discard_invalid_aggregators();
-
-  for (const BeaconDeployment& b : result.beacons) {
-    auto paths = labeling::label_paths(result.store, b.prefix, b.schedule,
-                                       config.signature);
-    result.labeled.insert(result.labeled.end(),
-                          std::make_move_iterator(paths.begin()),
-                          std::make_move_iterator(paths.end()));
-    auto seen = labeling::observed_paths(result.store, b.prefix);
-    result.observed.insert(result.observed.end(),
-                           std::make_move_iterator(seen.begin()),
-                           std::make_move_iterator(seen.end()));
-  }
-  return result;
-}
-
-namespace {
-
-CampaignResult run_campaign_sharded(const CampaignConfig& config) {
   CampaignResult result;
   result.config = config;
 
@@ -397,9 +165,8 @@ CampaignResult run_campaign_sharded(const CampaignConfig& config) {
 
   stats::Rng net_rng = rng.fork();
   bgp::Network network(result.graph, config.network, shards, net_rng);
-  // Canonical store with its own table (merge_shards re-interns into it);
-  // per-shard stores record against their shard's table during the run.
-  result.store = collector::UpdateStore();
+  // Per-shard stores record against their shard's table during the run;
+  // merge_shards turns them into the result's store afterwards.
   std::vector<collector::UpdateStore> shard_stores;
   shard_stores.reserve(shard_count);
   for (std::uint32_t s = 0; s < shard_count; ++s)
@@ -429,8 +196,12 @@ CampaignResult run_campaign_sharded(const CampaignConfig& config) {
     return latest;
   };
 
-  // Converged-baseline warm start — as the serial path, with the dynamic
-  // drain going through the engine.
+  // Converged-baseline warm start: establish the "already converged
+  // Internet" before any beacon flaps, either by draining the real event
+  // cascade through the engine (kDynamic, the reference) or by seeding
+  // converged RIBs directly (kStatic, the Internet-scale path). Both consume
+  // the fork identically, so beacon-phase randomness matches between the
+  // modes.
   sim::Time schedule_offset = 0;
   if (config.warm_start.mode != WarmStart::kNone) {
     stats::Rng warm_rng = rng.fork();
@@ -475,11 +246,11 @@ CampaignResult run_campaign_sharded(const CampaignConfig& config) {
     }
   }
 
-  // Vantage points: same picks and setup-time draws as the serial path. The
-  // only divergence is record-time noise, which moves to per-VP lanes forked
-  // in registration order — a shard-count-invariant sequence, unlike the
-  // serial path's single noise stream whose record-time draw order depends
-  // on event interleaving across the whole network.
+  // Vantage points across the three collector projects. Record-time noise
+  // comes from per-VP lanes forked in registration order, a
+  // shard-count-invariant sequence. The lanes fork from vp_rng, spent after
+  // the picks, so noise_rng's setup draws (export delays, second-project
+  // feeds) stay those of the former single-queue serial engine.
   std::vector<topology::AsId> vp_pool;
   const auto site_set = result.site_set();
   for (topology::AsId as : result.graph.as_ids())
@@ -491,32 +262,14 @@ CampaignResult run_campaign_sharded(const CampaignConfig& config) {
                                                collector::Project::kRouteViews,
                                                collector::Project::kIsolario};
   stats::Rng noise_rng = rng.fork();
-  std::vector<std::unique_ptr<stats::Rng>> noise_lanes;
   const auto attach_vp = [&](const collector::VantagePointConfig& vp_config) {
-    const sim::Duration delay =
-        collector::draw_export_delay(vp_config.project, noise_rng);
+    const collector::VpId id = collector::attach_vantage_point(
+        network, shard_stores, vp_config, noise_rng, vp_rng);
+    const sim::Duration delay = shard_stores[0].vp(id).export_delay;
     BECAUSE_CHECK(delay > engine_config.lookahead,
                   "run_campaign: collector export delay " << delay
                       << " under the engine lookahead "
                       << engine_config.lookahead);
-    const collector::VpId id =
-        result.store.register_vp(vp_config.as, vp_config.project, delay);
-    // Every shard store carries the full VP directory, so record() accepts
-    // any VP and merge_shards can check directory agreement.
-    for (std::uint32_t s = 0; s < shard_count; ++s) {
-      const collector::VpId shard_id =
-          shard_stores[s].register_vp(vp_config.as, vp_config.project, delay);
-      BECAUSE_ASSERT(shard_id == id, "run_campaign: shard VP id "
-                                         << shard_id << " != canonical " << id);
-    }
-    stats::Rng* lane = nullptr;
-    if (vp_config.missing_aggregator_prob > 0.0) {
-      noise_lanes.push_back(std::make_unique<stats::Rng>(noise_rng.fork()));
-      lane = noise_lanes.back().get();
-    }
-    collector::attach_vantage_point_tap(
-        network, shard_stores[network.shard_of(vp_config.as)], id, delay,
-        vp_config, lane);
     result.vps.push_back(id);
   };
   for (std::size_t i = 0; i < vp_picks.size(); ++i) {
@@ -537,6 +290,7 @@ CampaignResult run_campaign_sharded(const CampaignConfig& config) {
   std::uint32_t next_prefix = 1;
   for (std::size_t s = 0; s < result.sites.size(); ++s) {
     const topology::AsId site = result.sites[s];
+    // A small per-site stagger avoids artificial global synchronisation.
     const sim::Time site_start =
         schedule_offset + static_cast<sim::Time>(s) * sim::seconds(7);
 
@@ -602,6 +356,8 @@ CampaignResult run_campaign_sharded(const CampaignConfig& config) {
       bgp::Router& origin = network.router(origin_as);
       sim::EventQueue& origin_queue = network.queue_for(origin_as);
 
+      // Churn intensity is heavy-tailed: most prefixes are quiet, a few
+      // flap far harder than any beacon.
       std::size_t events;
       const double roll = churn_rng.uniform();
       if (roll < 0.70) events = static_cast<std::size_t>(churn_rng.uniform_int(2, 10));
@@ -610,6 +366,8 @@ CampaignResult run_campaign_sharded(const CampaignConfig& config) {
 
       bool announced = false;
       for (std::size_t e = 0; e < events; ++e) {
+        // Churn stays inside the beacon phase: with a warm start active, an
+        // event before the horizon would race the two convergence modes.
         const sim::Time when = churn_rng.uniform_int(schedule_offset, horizon);
         if (!announced || churn_rng.bernoulli(0.6)) {
           origin_queue.schedule_at(
@@ -662,13 +420,9 @@ CampaignResult run_campaign_sharded(const CampaignConfig& config) {
     campaign_end = std::max(campaign_end, q->current_event_when());
   obs::trace_complete("campaign.run", 0, campaign_end);
 
-  // Restore the serial record order across the shard stores, then clean and
-  // label exactly as the serial path does.
-  std::vector<const collector::UpdateStore*> store_ptrs;
-  store_ptrs.reserve(shard_count);
-  for (std::uint32_t s = 0; s < shard_count; ++s)
-    store_ptrs.push_back(&shard_stores[s]);
-  result.store.merge_shards(store_ptrs);
+  // Restore the serial record order across the shard stores (one shard's
+  // store is handed over as is), then clean and label.
+  result.store = collector::UpdateStore::merge_shards(std::move(shard_stores));
   result.store.discard_invalid_aggregators();
 
   for (const BeaconDeployment& b : result.beacons) {
@@ -684,7 +438,5 @@ CampaignResult run_campaign_sharded(const CampaignConfig& config) {
   }
   return result;
 }
-
-}  // namespace
 
 }  // namespace because::experiment

@@ -96,14 +96,13 @@ struct CampaignConfig {
   std::uint64_t seed = 42;
 
   /// Space-parallel execution (sim/sharded_engine.hpp): partition the AS
-  /// graph into this many shards and run them on parallel workers with
-  /// conservative synchronization. 0 = the serial engine, byte-identical to
-  /// every prior release; >= 1 = the sharded setup path (clamped to the AS
-  /// count), whose results are bit-identical at every shard count — and
-  /// identical to shards=0 whenever the config draws no record-time
-  /// randomness (mrai_jitter == 0, missing_aggregator_prob == 0,
-  /// session_resets == 0).
-  std::uint32_t shards = 0;
+  /// graph into this many shards (clamped to the AS count; 0 is rejected)
+  /// and run them on parallel workers with conservative synchronization.
+  /// One shard runs on a single queue with no rounds. Results are
+  /// bit-identical at every shard count: MRAI jitter draws from per-session
+  /// hash streams and aggregator noise from per-VP lanes, so randomness is a
+  /// function of identity, not of event interleaving.
+  std::uint32_t shards = 1;
   /// Test hook: run the round capture/merge protocol even with one shard.
   bool force_rounds = false;
 

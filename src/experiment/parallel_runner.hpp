@@ -6,7 +6,7 @@
 // own seeded RNG stream, so they parallelise embarrassingly. The runner fans
 // a scenario list across a ThreadPool and returns results in scenario order;
 // because no state is shared between scenarios, every result is bit-identical
-// to what a serial run_campaign() of the same config produces, regardless of
+// to what a direct run_campaign() of the same config produces, regardless of
 // pool size or completion order (the parallel_campaign tests pin this).
 #pragma once
 
@@ -68,8 +68,8 @@ class ParallelCampaignRunner {
 
   /// The cells x shards budget: the largest power of two that fits in
   /// hardware_threads() / min(pool_threads, cells), capped at `requested`
-  /// and floored at 1 shard. `requested` <= 1 (serial engine or a single
-  /// shard) is returned untouched.
+  /// and floored at 1 shard. `requested` <= 1 (one shard, or 0, which
+  /// run_campaign rejects) is returned untouched.
   static std::uint32_t effective_shards(std::uint32_t requested,
                                         std::size_t pool_threads,
                                         std::size_t cells);

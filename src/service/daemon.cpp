@@ -100,7 +100,6 @@ void put_config(SnapshotWriter& w, const ServiceConfig& c) {
   w.put_f64(inf.hmc.step_size);
   w.put_u64(inf.hmc.leapfrog_steps);
   w.put_u64(inf.hmc.seed);
-  w.put_u64(inf.hmc.gradient_shards);
   w.put_bool(inf.hmc.adapt_step_size);
   w.put_f64(inf.hmc.target_accept);
   w.put_bool(inf.use_hmc);
@@ -136,7 +135,6 @@ ServiceConfig get_config(SnapshotReader& r) {
   inf.hmc.step_size = r.get_f64();
   inf.hmc.leapfrog_steps = r.get_u64();
   inf.hmc.seed = r.get_u64();
-  inf.hmc.gradient_shards = r.get_u64();
   inf.hmc.adapt_step_size = r.get_bool();
   inf.hmc.target_accept = r.get_f64();
   inf.use_hmc = r.get_bool();

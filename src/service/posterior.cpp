@@ -121,10 +121,6 @@ void PrefixPosterior::build(const std::vector<labeling::LabeledPath>& labeled,
     for (std::size_t c = 0; c < config.pool_chains; ++c) {
       core::HmcConfig chain_config = hmc;
       chain_config.seed = hmc.seed + c;
-      // Parallelism is across chains only: a chain sharding its gradients
-      // onto the same pool its own task runs on could starve (every worker
-      // waiting on a shard no worker is free to run).
-      chain_config.gradient_shards = 1;
       chains_.push_back(std::make_unique<core::HmcSampler>(
           *likelihood_, *prior_, chain_config));
     }
@@ -169,7 +165,6 @@ void PrefixPosterior::refresh(
     for (std::size_t c = 0; c < config.pool_chains; ++c) {
       core::HmcConfig chain_config = hmc;
       chain_config.seed = hmc.seed + c;
-      chain_config.gradient_shards = 1;
       chains_.push_back(std::make_unique<core::HmcSampler>(
           *likelihood_, *prior_, chain_config));
     }
@@ -186,7 +181,6 @@ void PrefixPosterior::refresh(
   for (std::size_t c = 0; c < config.pool_chains; ++c) {
     core::HmcConfig chain_config = hmc;
     chain_config.seed = hmc.seed + c;
-    chain_config.gradient_shards = 1;
     auto sampler = std::make_unique<core::HmcSampler>(*likelihood_, *prior_,
                                                       chain_config);
     // Remap the warm position by AS identity: a coordinate whose AS
@@ -231,7 +225,6 @@ void PrefixPosterior::restore(
   for (std::size_t c = 0; c < states.size(); ++c) {
     core::HmcConfig chain_config = hmc;
     chain_config.seed = hmc.seed + c;
-    chain_config.gradient_shards = 1;
     auto sampler = std::make_unique<core::HmcSampler>(*likelihood_, *prior_,
                                                       chain_config);
     sampler->restore_state(states[c]);

@@ -191,11 +191,10 @@ TEST(Session, AccessorsReflectConstruction) {
 
 TEST(Session, JitteredMraiStaysWithinBounds) {
   sim::EventQueue queue;
-  stats::Rng rng(11);
   std::vector<sim::Time> sent_at;
   Session session{1, 2, Relation::kCustomer, sim::seconds(30), false,
                   [&](const Update&) { sent_at.push_back(queue.now()); },
-                  &rng, 0.5};
+                  0.5, /*jitter_key=*/11};
   // A fresh announcement every second; MRAI coalesces them into windows of
   // 15-30 s.
   for (int i = 0; i < 120; ++i) {
@@ -219,11 +218,10 @@ TEST(Session, JitteredMraiStaysWithinBounds) {
 
 TEST(Session, JitterVariesAcrossWindows) {
   sim::EventQueue queue;
-  stats::Rng rng(13);
   std::vector<sim::Time> sent_at;
   Session session{1, 2, Relation::kCustomer, sim::seconds(30), false,
                   [&](const Update&) { sent_at.push_back(queue.now()); },
-                  &rng, 0.5};
+                  0.5, /*jitter_key=*/13};
   for (int i = 0; i < 600; ++i) {
     queue.schedule_at(sim::seconds(i), [&session, &queue, i] {
       Update u;
@@ -243,10 +241,8 @@ TEST(Session, JitterVariesAcrossWindows) {
 }
 
 TEST(Session, RejectsBadJitter) {
-  sim::EventQueue queue;
-  stats::Rng rng(1);
   EXPECT_THROW(Session(1, 2, Relation::kPeer, sim::seconds(30), false,
-                       [](const Update&) {}, &rng, 1.5),
+                       [](const Update&) {}, 1.5),
                std::invalid_argument);
 }
 

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "collector/projects.hpp"
 #include "collector/update_store.hpp"
 #include "collector/vantage_point.hpp"
@@ -114,6 +117,45 @@ TEST(UpdateStore, DiscardInvalidAggregators) {
   EXPECT_TRUE(stream[1].update.is_withdrawal());
 }
 
+TEST(UpdateStore, MergeHandsOneShardOverUnchanged) {
+  // One shard's store is already in (recorded_at, seq) order: the merge
+  // returns it as is, path table included, instead of re-interning a copy.
+  UpdateStore store(table());
+  const VpId a = store.register_vp(10, Project::kRipeRis, 0);
+  store.record(a, 100, announce(1), 1);
+  store.record(a, 200, announce(2), 2);
+  std::vector<UpdateStore> shards;
+  shards.push_back(std::move(store));
+  const UpdateStore merged = UpdateStore::merge_shards(std::move(shards));
+  EXPECT_EQ(merged.paths_ptr(), table());
+  ASSERT_EQ(merged.size(), 2u);
+  EXPECT_EQ(merged.all()[1].recorded_at, 200);
+  EXPECT_EQ(merged.all()[1].update.path, announce(2).path);
+}
+
+TEST(UpdateStore, MergeOrdersShardsByTimeThenSeq) {
+  auto other_table = std::make_shared<topology::PathTable>();
+  std::vector<UpdateStore> shards;
+  shards.emplace_back(table());
+  shards.emplace_back(other_table);
+  for (UpdateStore& shard : shards) shard.register_vp(10, Project::kRipeRis, 0);
+  shards[0].record(0, 100, announce(1), 7);
+  bgp::Update on_other = announce(2);  // interned in shard 1's own table
+  on_other.path = other_table->intern(topology::AsPath{7, 5, 6});
+  shards[1].record(0, 100, on_other, 3);
+  shards[0].record(0, 50, announce(3), 9);
+  const UpdateStore merged = UpdateStore::merge_shards(std::move(shards));
+  EXPECT_NE(merged.paths_ptr(), table());
+  ASSERT_EQ(merged.size(), 3u);
+  EXPECT_EQ(merged.all()[0].update.beacon_timestamp, 3);
+  EXPECT_EQ(merged.all()[1].update.beacon_timestamp, 2);
+  EXPECT_EQ(merged.all()[2].update.beacon_timestamp, 1);
+  EXPECT_EQ(merged.paths().to_path(merged.all()[1].update.path),
+            (topology::AsPath{7, 5, 6}));
+  EXPECT_EQ(merged.paths().to_path(merged.all()[2].update.path),
+            (topology::AsPath{5, 6}));
+}
+
 TEST(VantagePoint, RecordsRouterExportsWithDelay) {
   topology::AsGraph graph;
   graph.add_as(1, topology::Tier::kStub);
@@ -128,7 +170,7 @@ TEST(VantagePoint, RecordsRouterExportsWithDelay) {
   VantagePointConfig config;
   config.as = 2;
   config.project = Project::kRouteViews;  // fixed 50 s export delay
-  const VpId vp = attach_vantage_point(net, store, config, rng);
+  const VpId vp = attach_vantage_point(net, {&store, 1}, config, rng, rng);
 
   net.router(1).originate(kPrefix, 0);
   queue.run();
@@ -157,7 +199,7 @@ TEST(VantagePoint, NoiseDropsAggregatorTimestamps) {
   VantagePointConfig config;
   config.as = 2;
   config.missing_aggregator_prob = 1.0;  // every announcement loses its ts
-  const VpId vp = attach_vantage_point(net, store, config, rng);
+  const VpId vp = attach_vantage_point(net, {&store, 1}, config, rng, rng);
 
   net.router(1).originate(kPrefix, 7);
   queue.run();

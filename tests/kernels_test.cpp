@@ -176,41 +176,6 @@ TEST(KernelEquivalence, ProductsBitIdenticalAcrossLevels) {
   }
 }
 
-TEST(KernelEquivalence, ShardedGradientBitIdenticalAcrossLevels) {
-  // A fixed shard count fixes the reduction order (that is the sharded
-  // gradient's determinism contract — serial and sharded group the sums
-  // differently, so they agree only to rounding). What the kernels must
-  // guarantee: for a given shard count, every dispatch level produces the
-  // same bits even though the shard boundaries are not lane-aligned (the
-  // vector kernels fall back to the scalar edge kernels there).
-  LevelGuard guard;
-  util::ThreadPool pool(4);
-  const auto data = random_dataset(50, 201, 23);
-  const Likelihood lik(data, noisy());
-  stats::Rng rng(77);
-  const auto p = random_p(lik.dim(), rng);
-  std::vector<double> serial(lik.dim());
-  lik.gradient(p, serial);
-  for (std::size_t shards : {2u, 3u, 7u}) {
-    ASSERT_TRUE(kernels::force_level(kernels::Level::kScalar));
-    std::vector<double> expected(lik.dim());
-    lik.gradient(p, expected, pool, shards);
-    for (std::size_t i = 0; i < expected.size(); ++i)
-      EXPECT_NEAR(expected[i], serial[i],
-                  1e-12 * std::max(1.0, std::abs(serial[i])))
-          << "shards " << shards << " coordinate " << i;
-    for (kernels::Level level : supported_levels()) {
-      ASSERT_TRUE(kernels::force_level(level));
-      std::vector<double> sharded(lik.dim());
-      lik.gradient(p, sharded, pool, shards);
-      for (std::size_t i = 0; i < sharded.size(); ++i)
-        EXPECT_EQ(sharded[i], expected[i])
-            << kernels::level_name(level) << " shards " << shards
-            << " coordinate " << i;
-    }
-  }
-}
-
 // -------------------------------------- multichain digests across levels
 
 /// Planted scenario shared with mcmc_test: AS 10 damps, 20/30/40 do not.

@@ -85,15 +85,16 @@ struct ObsGuard {
 
 // Golden-campaign constants from sim_golden_trace_test — the instrumented run
 // must reproduce them exactly.
-constexpr std::uint64_t kExpectedEvents = 154149;
-constexpr std::uint64_t kExpectedRecords = 18068;
-constexpr std::uint64_t kExpectedDigest = 10068399607775122921ULL;
+constexpr std::uint64_t kExpectedEvents = 154865;
+constexpr std::uint64_t kExpectedRecords = 18039;
+constexpr std::uint64_t kExpectedDigest = 4441158318962940301ULL;
 
 // Event count and byte digest of the rendered Chrome-trace JSON for the
 // golden campaign (re-pinned with the golden trace when RIB enumeration
-// became ascending-prefix order).
+// became ascending-prefix order, and again when the campaign moved to
+// per-session MRAI jitter streams and per-VP noise lanes).
 constexpr std::uint64_t kExpectedTraceEvents = 437;
-constexpr std::uint64_t kExpectedTraceDigest = 16293843266596928010ULL;
+constexpr std::uint64_t kExpectedTraceDigest = 14625749043035056780ULL;
 
 TEST(ObsGoldenTrace, InstrumentedCampaignMatchesSeedEngine) {
   ObsGuard guard;

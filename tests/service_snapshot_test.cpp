@@ -129,6 +129,21 @@ TEST(ServiceSnapshot, RejectsVersionMismatch) {
   EXPECT_THROW(victim.restore_snapshot(bytes), ContractViolation);
 }
 
+TEST(ServiceSnapshot, RejectsVersionOneSnapshots) {
+  // Version 1's config block carried the HMC gradient shard count, a field
+  // the format no longer has; reading one as version 2 would shift every
+  // later config field, so the header check must refuse it.
+  ScopedContractMode guard(ContractMode::kThrow);
+  ASSERT_EQ(kSnapshotVersion, 2u);
+  auto daemon = loaded_daemon();
+  std::string bytes = daemon->save_snapshot();
+  const std::size_t at = kSnapshotMagic.size();
+  bytes[at] = 1;
+  bytes[at + 1] = bytes[at + 2] = bytes[at + 3] = 0;
+  Daemon victim{ServiceConfig::fast()};
+  EXPECT_THROW(victim.restore_snapshot(bytes), ContractViolation);
+}
+
 TEST(ServiceSnapshot, RejectsTruncation) {
   ScopedContractMode guard(ContractMode::kThrow);
   auto daemon = loaded_daemon();

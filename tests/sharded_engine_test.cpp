@@ -7,22 +7,25 @@
 //   1. Partitioner invariants: total coverage, determinism, balance cap,
 //      clamping, and the id directory.
 //   2. Serial equivalence: with no record-time randomness (MRAI jitter off,
-//      no aggregator noise, no session resets) a sharded campaign's collector
-//      store digests BIT-FOR-BIT against the legacy serial engine, at every
+//      no aggregator noise, no session resets) a campaign's collector store,
+//      labeled paths and observed paths digest BIT-FOR-BIT to the values the
+//      former single-queue serial engine produced (pinned below), at every
 //      shard count — including shards=1 with force_rounds, which exercises
-//      the full capture/merge protocol against the plain-run reference.
+//      the full capture/merge protocol.
 //   3. Cross-K identity: with every noise source enabled (jitter, aggregator
 //      noise, session resets, churn), digests agree across K=1/2/4/8 — the
 //      per-session jitter hash and per-VP noise lanes make randomness a
 //      function of identity, not of event interleaving.
 //   4. Warm starts: both warm-start modes survive sharding, and the
-//      beacon-delta digest matches the legacy serial campaign.
+//      beacon-delta digest matches the pinned serial-engine value.
 #include "sim/sharded_engine.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -42,7 +45,7 @@ using topology::AsId;
 // --------------------------------------------------------------------------
 // 1. Partitioner invariants.
 
-AsGraph partition_graph_fixture(std::uint64_t seed, std::size_t ases) {
+AsGraph partition_graph_fixture(std::uint64_t seed, std::uint32_t ases) {
   stats::Rng rng(seed);
   return topology::generate(topology::internet_like(ases), rng);
 }
@@ -155,6 +158,19 @@ std::uint64_t labeled_digest(const experiment::CampaignResult& result) {
   return hash;
 }
 
+std::uint64_t observed_digest(const experiment::CampaignResult& result) {
+  std::uint64_t hash = 14695981039346656037ULL;
+  hash = fnv1a_u64(hash, result.observed.size());
+  for (const labeling::ObservedPath& o : result.observed) {
+    hash = fnv1a_u64(hash, (static_cast<std::uint64_t>(o.prefix.id) << 8) |
+                               o.prefix.length);
+    hash = fnv1a_u64(hash, o.vp);
+    hash = fnv1a_u64(hash, o.path.size());
+    for (AsId as : o.path) hash = fnv1a_u64(hash, as);
+  }
+  return hash;
+}
+
 experiment::CampaignConfig sharded_config(std::uint64_t seed, bool zero_noise) {
   experiment::CampaignConfig config = experiment::CampaignConfig::small();
   config.topology.tier1_count = 6;
@@ -179,25 +195,42 @@ experiment::CampaignConfig sharded_config(std::uint64_t seed, bool zero_noise) {
 // --------------------------------------------------------------------------
 // 2. Serial equivalence (no record-time randomness).
 
+// Digests of sharded_config(17, zero_noise) as run by the serial engine
+// (one EventQueue, no partition) before it was folded into the sharded
+// path. The serial engine drew MRAI jitter from one shared stream and
+// aggregator noise from one shared lane; with both off, it and every shard
+// count must agree bit for bit.
+constexpr std::uint64_t kSerialEvents = 50270;
+constexpr std::size_t kSerialRecords = 3359;
+constexpr std::uint64_t kSerialStoreDigest = 10721847025420399715ULL;
+constexpr std::uint64_t kSerialLabeledDigest = 3901625005375934728ULL;
+constexpr std::uint64_t kSerialObservedDigest = 6251593127142848489ULL;
+
 TEST(ShardedCampaign, MatchesSerialEngineAtEveryShardCount) {
   experiment::CampaignConfig config = sharded_config(17, /*zero_noise=*/true);
-  const experiment::CampaignResult serial = experiment::run_campaign(config);
-  const std::uint64_t want = store_digest(serial.store);
-  ASSERT_GT(serial.store.size(), 0u);
-
+  const auto expect_serial = [](const experiment::CampaignResult& got,
+                                const std::string& what) {
+    EXPECT_EQ(got.store.size(), kSerialRecords) << what;
+    EXPECT_EQ(store_digest(got.store), kSerialStoreDigest) << what;
+    EXPECT_EQ(got.events_executed, kSerialEvents) << what;
+    EXPECT_EQ(labeled_digest(got), kSerialLabeledDigest) << what;
+    EXPECT_EQ(observed_digest(got), kSerialObservedDigest) << what;
+    EXPECT_EQ(got.store.discarded_invalid_aggregator(), 0u) << what;
+  };
   for (std::uint32_t shards : {1u, 2u, 4u, 8u}) {
     config.shards = shards;
-    const experiment::CampaignResult sharded = experiment::run_campaign(config);
-    EXPECT_EQ(sharded.store.size(), serial.store.size()) << shards << " shards";
-    EXPECT_EQ(store_digest(sharded.store), want) << shards << " shards";
-    EXPECT_EQ(sharded.events_executed, serial.events_executed)
-        << shards << " shards";
-    EXPECT_EQ(labeled_digest(sharded), labeled_digest(serial))
-        << shards << " shards";
-    EXPECT_EQ(sharded.store.discarded_invalid_aggregator(),
-              serial.store.discarded_invalid_aggregator())
-        << shards << " shards";
+    expect_serial(experiment::run_campaign(config),
+                  std::to_string(shards) + " shards");
   }
+  config.shards = 1;
+  config.force_rounds = true;
+  expect_serial(experiment::run_campaign(config), "1 shard, forced rounds");
+}
+
+TEST(ShardedCampaign, RejectsZeroShards) {
+  experiment::CampaignConfig config = sharded_config(17, /*zero_noise=*/true);
+  config.shards = 0;
+  EXPECT_THROW(experiment::run_campaign(config), std::invalid_argument);
 }
 
 TEST(ShardedCampaign, ForcedRoundsMatchThePlainSingleShardRun) {
@@ -242,23 +275,28 @@ TEST(ShardedCampaign, NoisyCampaignIsShardCountInvariant) {
 // --------------------------------------------------------------------------
 // 4. Warm starts under sharding.
 
+/// Beacon-delta store digest of sharded_config(41, zero_noise) with a
+/// dynamic warm start of 3 baseline prefixes, as the serial engine ran it.
+constexpr std::uint64_t kSerialWarmDeltaDigest = 679069192121490684ULL;
+
 TEST(ShardedCampaign, WarmStartModesMatchSerialBeaconDelta) {
   experiment::CampaignConfig config = sharded_config(41, /*zero_noise=*/true);
-  config.warm_start.mode = experiment::WarmStart::kDynamic;
   config.warm_start.baseline_prefixes = 3;
   config.warm_start.horizon = sim::hours(6);
 
-  const experiment::CampaignResult serial = experiment::run_campaign(config);
-  const std::uint64_t want = store_digest(serial.store, true);
-
+  std::vector<bgp::Prefix> baseline;
   for (const experiment::WarmStart mode :
        {experiment::WarmStart::kDynamic, experiment::WarmStart::kStatic}) {
-    config.warm_start.mode = mode;
-    config.shards = 4;
-    const experiment::CampaignResult sharded = experiment::run_campaign(config);
-    EXPECT_EQ(store_digest(sharded.store, true), want)
-        << "mode " << static_cast<int>(mode);
-    EXPECT_EQ(sharded.baseline, serial.baseline);
+    for (const std::uint32_t shards : {1u, 4u}) {
+      config.warm_start.mode = mode;
+      config.shards = shards;
+      const experiment::CampaignResult result = experiment::run_campaign(config);
+      EXPECT_EQ(store_digest(result.store, true), kSerialWarmDeltaDigest)
+          << "mode " << static_cast<int>(mode) << ", " << shards << " shards";
+      EXPECT_EQ(result.baseline.size(), 3u);
+      if (baseline.empty()) baseline = result.baseline;
+      EXPECT_EQ(result.baseline, baseline);
+    }
   }
 }
 
@@ -271,7 +309,8 @@ TEST(ShardBudget, EffectiveShardsRespectsBudgetAndRequest) {
   std::uint32_t hw_pow2 = 1;
   while (std::size_t{hw_pow2} * 2 <= hw) hw_pow2 *= 2;
 
-  // Serial-engine and single-shard requests pass through untouched.
+  // Single-shard requests (and the invalid 0, which run_campaign rejects)
+  // pass through untouched.
   EXPECT_EQ(ParallelCampaignRunner::effective_shards(0, 8, 4), 0u);
   EXPECT_EQ(ParallelCampaignRunner::effective_shards(1, 8, 4), 1u);
   // One cell: the whole machine is the budget, capped by the request.
@@ -282,13 +321,14 @@ TEST(ShardBudget, EffectiveShardsRespectsBudgetAndRequest) {
   EXPECT_EQ(ParallelCampaignRunner::effective_shards(8, hw, 1000), 1u);
   // Requests within budget are NOT rounded to a power of two — only the
   // budget is.
-  if (hw_pow2 >= 4)
+  if (hw_pow2 >= 4) {
     EXPECT_EQ(ParallelCampaignRunner::effective_shards(3, 1, 1), 3u);
+  }
 }
 
 TEST(ShardBudget, BudgetedRunnerMatchesExactShardResults) {
   // The budget may lower K, and K never changes results — so a budgeted
-  // runner's campaigns digest identically to the exact-K serial reference.
+  // runner's campaigns digest identically to the exact-K reference.
   experiment::CampaignConfig config = sharded_config(53, /*zero_noise=*/false);
   config.shards = 4;
   experiment::CampaignScenario scenario{"budgeted", config};

@@ -58,9 +58,9 @@ TEST(SimScale, FiveThousandAsNetworkConvergesWithinBudget) {
 
 // --------------------------------------------------------------------------
 // Campaign digests at scale: event count, record count and an FNV-1a hash of
-// the collector trace, pinned at 1k and 5k ASes. The constants predate the
-// ascending-prefix RIB enumeration order (bgp/rib.hpp) and still hold under
-// it, so they lock in that these campaigns are unchanged by it.
+// the collector trace, pinned at 1k and 5k ASes. Captured with per-session
+// MRAI jitter streams and per-VP aggregator-noise lanes, the only random
+// streams a campaign draws at record time.
 
 std::uint64_t fnv1a_u64(std::uint64_t hash, std::uint64_t value) {
   for (int i = 0; i < 8; ++i) {
@@ -112,13 +112,13 @@ void expect_campaign_digest(const experiment::CampaignConfig& config,
 }
 
 TEST(SimScale, CampaignDigestPinnedAtOneThousandAses) {
-  expect_campaign_digest(digest_scale_config(120, 880, 5), 380912,
-                         4452, 14056206466768353044ULL);
+  expect_campaign_digest(digest_scale_config(120, 880, 5), 385518,
+                         4479, 17856528359732100368ULL);
 }
 
 TEST(SimScale, CampaignDigestPinnedAtFiveThousandAses) {
-  expect_campaign_digest(digest_scale_config(500, 4500, 9), 1166704,
-                         2827, 11143330410950956356ULL);
+  expect_campaign_digest(digest_scale_config(500, 4500, 9), 1166170,
+                         2823, 8907131919537969899ULL);
 }
 
 TEST(SimScale, TenThousandAsCampaignCompletes) {

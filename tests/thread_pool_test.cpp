@@ -1,5 +1,5 @@
 // ThreadPool semantics (results, exception propagation, shutdown) and the
-// pooled multi-chain / sharded-gradient determinism guarantees built on it:
+// pooled multi-chain determinism guarantees built on it:
 // the same seed must give bit-identical results whether the work runs on a
 // 1-thread or a 4-thread pool.
 #include <gtest/gtest.h>
@@ -133,57 +133,6 @@ TEST(MultiChainPooled, InvalidConfigThrowsInsteadOfTerminating) {
                std::invalid_argument);
   EXPECT_THROW(core::run_metropolis_chains(lik, prior, config, 1),
                std::invalid_argument);  // n_chains < 2
-}
-
-TEST(ShardedGradient, MatchesSerialAndIsPoolSizeInvariant) {
-  const auto data = small_dataset(20, 200);
-  const core::Likelihood lik(data);
-  stats::Rng rng(3);
-  std::vector<double> p(lik.dim());
-  for (double& x : p) x = rng.uniform();
-
-  std::vector<double> serial(lik.dim());
-  lik.gradient(p, serial);
-
-  util::ThreadPool pool1(1), pool4(4);
-  for (std::size_t shards : {1u, 2u, 3u, 7u}) {
-    std::vector<double> g1(lik.dim()), g4(lik.dim());
-    lik.gradient(p, g1, pool1, shards);
-    lik.gradient(p, g4, pool4, shards);
-    for (std::size_t i = 0; i < lik.dim(); ++i) {
-      // Same shard count => same reduction order => bit-identical.
-      EXPECT_EQ(g1[i], g4[i]) << "shards " << shards << " coord " << i;
-      EXPECT_NEAR(g1[i], serial[i],
-                  1e-12 * std::max(1.0, std::abs(serial[i])))
-          << "shards " << shards << " coord " << i;
-    }
-  }
-}
-
-TEST(ShardedGradient, HmcWithShardsMatchesSingleShard) {
-  const auto data = small_dataset();
-  const core::Likelihood lik(data);
-  const core::Prior prior = core::Prior::uniform();
-  core::HmcConfig config;
-  config.samples = 10;
-  config.burn_in = 2;
-  config.leapfrog_steps = 5;
-  config.seed = 8;
-
-  const core::Chain serial = core::run_hmc(lik, prior, config);
-  util::ThreadPool pool(2);
-  config.gradient_shards = 3;
-  const core::Chain sharded = core::run_hmc(lik, prior, config, &pool);
-  // Sharded reduction reorders floating-point sums, so samples are only
-  // statistically equivalent — but shapes and finiteness must hold.
-  ASSERT_EQ(sharded.dim(), serial.dim());
-  ASSERT_EQ(sharded.size(), serial.size());
-  for (std::size_t t = 0; t < sharded.size(); ++t)
-    for (double v : sharded.sample(t)) {
-      EXPECT_TRUE(std::isfinite(v));
-      EXPECT_GE(v, 0.0);
-      EXPECT_LE(v, 1.0);
-    }
 }
 
 TEST(MetropolisGuards, ReflectIntoUnitHandlesNonFiniteInput) {
