@@ -26,8 +26,9 @@
 //      (how much of the setup cost the hierarchy-ranked static sweep
 //      eliminates).
 //
-// Layers 1 and 2 also run once with the obs subsystem collecting
-// (BM_*/obs records); the derived BM_ObsOverhead/{engine,sim} ratios are
+// Layer 1 and layer 2's smallest scale run as 21 interleaved obs-off /
+// obs-on pairs (BM_*/obs records keep the best obs-on run); the derived
+// BM_ObsOverhead/{engine,sim} records are the median per-pair cost ratios,
 // gated absolutely by tools/bench_gate.py (--obs-tolerance, default 1.05).
 //
 // Scales default to 1000 5000 10000 ASes and can be overridden on the
@@ -305,6 +306,42 @@ experiment::CampaignConfig campaign_at_scale(std::size_t ases) {
   return config;
 }
 
+// -- obs overhead: interleaved obs-off / obs-on pairs -------------------------
+
+/// The best obs-off and obs-on runs, and the median of the per-pair on/off
+/// cost ratios (the BM_ObsOverhead/* record).
+struct ObsPairs {
+  EngineMeasurement off;
+  EngineMeasurement on;
+  double overhead = 0.0;
+};
+
+/// Run `measure` as `pairs` interleaved obs-off / obs-on pairs. Pairing puts
+/// both halves of a ratio under the same host conditions, and the median
+/// drops the pairs a scheduler hiccup hit, so a gate on the overhead does
+/// not flap on unchanged code.
+template <typename Measure>
+ObsPairs measure_obs_pairs(std::size_t pairs, Measure&& measure) {
+  ObsPairs out;
+  std::vector<double> ratios;
+  for (std::size_t pair = 0; pair < pairs; ++pair) {
+    const EngineMeasurement off = measure();
+    obs::set_enabled(true);
+    obs::set_trace_enabled(true);
+    const EngineMeasurement on = measure();
+    obs::set_enabled(false);
+    obs::set_trace_enabled(false);
+    obs::reset();
+    obs::trace_reset();
+    if (pair == 0 || off.seconds < out.off.seconds) out.off = off;
+    if (pair == 0 || on.seconds < out.on.seconds) out.on = on;
+    ratios.push_back(off.events_per_second() / on.events_per_second());
+  }
+  std::nth_element(ratios.begin(), ratios.begin() + pairs / 2, ratios.end());
+  out.overhead = ratios[pairs / 2];
+  return out;
+}
+
 // -- 4. warm-started campaigns ------------------------------------------------
 
 experiment::CampaignConfig warm_campaign_at_scale(std::size_t ases,
@@ -353,56 +390,34 @@ int main(int argc, char** argv) {
   // obs-on pairs. The derived BM_ObsOverhead/engine record carries the
   // median of the per-pair on/off cost ratios as ns_per_op; bench_gate
   // checks it against an absolute ceiling (default 1.05: obs-on may cost at
-  // most 5% of event-loop throughput). Pairing puts both halves of a ratio
-  // under the same host conditions and the median drops the pairs a
-  // scheduler hiccup hit, so the gate does not flap on unchanged code. The
-  // BM_EventEngine records keep the best run of each side.
+  // most 5% of event-loop throughput). The BM_EventEngine records keep the
+  // best run of each side.
   constexpr std::uint64_t kEngineEvents = 1'000'000;
   constexpr std::size_t kObsPairs = 21;
-  EngineMeasurement engine_cal;
-  EngineMeasurement engine_obs;
-  std::vector<double> pair_overheads;
-  for (std::size_t pair = 0; pair < kObsPairs; ++pair) {
-    const EngineMeasurement off = bench::measure_engine(kEngineEvents);
-    obs::set_enabled(true);
-    obs::set_trace_enabled(true);
-    const EngineMeasurement on = bench::measure_engine(kEngineEvents);
-    obs::set_enabled(false);
-    obs::set_trace_enabled(false);
-    obs::reset();
-    obs::trace_reset();
-    if (pair == 0 || off.seconds < engine_cal.seconds) engine_cal = off;
-    if (pair == 0 || on.seconds < engine_obs.seconds) engine_obs = on;
-    pair_overheads.push_back(off.events_per_second() / on.events_per_second());
-  }
-  add("BM_EventEngine/calendar", engine_cal);
-  add("BM_EventEngine/calendar/obs", engine_obs);
-  std::nth_element(pair_overheads.begin(),
-                   pair_overheads.begin() + kObsPairs / 2,
-                   pair_overheads.end());
-  const double engine_obs_overhead = pair_overheads[kObsPairs / 2];
+  const bench::ObsPairs engine = bench::measure_obs_pairs(
+      kObsPairs, [] { return bench::measure_engine(kEngineEvents); });
+  add("BM_EventEngine/calendar", engine.off);
+  add("BM_EventEngine/calendar/obs", engine.on);
   records.push_back(
-      {"BM_ObsOverhead/engine", engine_obs_overhead, engine_obs_overhead, 1});
+      {"BM_ObsOverhead/engine", engine.overhead, engine.overhead, 1});
 
-  // 2. Full network simulation per scale, plus the obs-on overhead pair at
-  // the smallest scale.
+  // 2. Full network simulation per scale. The smallest scale runs as the
+  // same 21 interleaved pairs and carries the BM_ObsOverhead/sim median;
+  // its BM_SimNetwork records keep the best run of each side.
   double sim_obs_overhead = 0.0;
   for (std::size_t i = 0; i < scales.size(); ++i) {
-    const EngineMeasurement m = bench::measure_sim(scales[i]);
-    add("BM_SimNetwork/" + std::to_string(scales[i]), m);
-    if (i == 0) {
-      obs::set_enabled(true);
-      obs::set_trace_enabled(true);
-      const EngineMeasurement obs_on = bench::measure_sim(scales[i]);
-      obs::set_enabled(false);
-      obs::set_trace_enabled(false);
-      obs::reset();
-      obs::trace_reset();
-      add("BM_SimNetwork/" + std::to_string(scales[i]) + "/obs", obs_on);
-      sim_obs_overhead = m.events_per_second() / obs_on.events_per_second();
-      records.push_back(
-          {"BM_ObsOverhead/sim", sim_obs_overhead, sim_obs_overhead, 1});
+    const std::string name = "BM_SimNetwork/" + std::to_string(scales[i]);
+    if (i != 0) {
+      add(name, bench::measure_sim(scales[i]));
+      continue;
     }
+    const bench::ObsPairs sim = bench::measure_obs_pairs(
+        kObsPairs, [&] { return bench::measure_sim(scales[i]); });
+    add(name, sim.off);
+    add(name + "/obs", sim.on);
+    sim_obs_overhead = sim.overhead;
+    records.push_back(
+        {"BM_ObsOverhead/sim", sim_obs_overhead, sim_obs_overhead, 1});
   }
 
   // 2b. Sharded engine at K = 1, 2, 4, 8 shards. Default scales follow the
@@ -491,7 +506,7 @@ int main(int argc, char** argv) {
 
   std::printf("%s", table.render("Simulator core throughput").c_str());
   std::printf("obs-on overhead: engine %.3fx, sim %.3fx\n",
-              engine_obs_overhead, sim_obs_overhead);
+              engine.overhead, sim_obs_overhead);
   std::printf("sharded sim speedup (8 shards vs 1) at %zu ASes: %.2fx\n",
               shard_scales.back(), sharded_speedup);
   std::printf("warm-start speedup (static vs dynamic) at %zu ASes: %.2fx\n",

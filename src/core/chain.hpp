@@ -16,6 +16,9 @@ class Chain {
   /// Append one sample (length must equal dim()).
   void push(std::span<const double> sample);
 
+  /// Make room for `samples` samples in total, so pushes do not reallocate.
+  void reserve(std::size_t samples) { flat_.reserve(samples * dim_); }
+
   /// Sample `t` as a view into the flat storage.
   std::span<const double> sample(std::size_t t) const;
 

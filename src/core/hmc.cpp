@@ -228,30 +228,32 @@ void HmcSampler::flush_obs() {
   flushed_leapfrog_steps_ = leapfrog_steps_;
 }
 
+Chain HmcSampler::draw(std::size_t trajectories, std::size_t keep_after) {
+  BECAUSE_CHECK(trajectories > keep_after,
+                "HmcSampler::draw: " << trajectories << " trajectories keep no "
+                                     << "draws past " << keep_after);
+  Chain chain(dim());
+  chain.reserve(trajectories - keep_after);
+  for (std::size_t t = 0; t < trajectories; ++t) {
+    iterate();
+    if (t >= keep_after) chain.push(current_p());
+  }
+  chain.acceptance_rate = static_cast<double>(accepts_) /
+                          static_cast<double>(proposals_);
+  const std::uint64_t kept = iteration_ > config_.burn_in
+                                 ? iteration_ - config_.burn_in
+                                 : 0;
+  chain.kept_acceptance_rate =
+      kept == 0 ? 0.0
+                : static_cast<double>(kept_accepts_) / static_cast<double>(kept);
+  chain.adapted_step_size = step_size_;
+  return chain;
+}
+
 Chain run_hmc(const Likelihood& likelihood, const Prior& prior,
               const HmcConfig& config) {
-  config.validate();
-  const std::size_t dim = likelihood.dim();
-  if (dim == 0) throw std::invalid_argument("run_hmc: empty dataset");
-
   HmcSampler sampler(likelihood, prior, config);
-  Chain chain(dim);
-  const std::size_t total = config.burn_in + config.samples;
-  for (std::size_t iter = 0; iter < total; ++iter) {
-    sampler.iterate();
-    if (iter >= config.burn_in) chain.push(sampler.current_p());
-  }
-
-  chain.acceptance_rate =
-      sampler.proposals() == 0
-          ? 0.0
-          : static_cast<double>(sampler.accepts()) /
-                static_cast<double>(sampler.proposals());
-  chain.kept_acceptance_rate =
-      config.samples == 0 ? 0.0
-                          : static_cast<double>(sampler.kept_accepts()) /
-                                static_cast<double>(config.samples);
-  chain.adapted_step_size = sampler.step_size();
+  Chain chain = sampler.draw(config.burn_in + config.samples, config.burn_in);
   sampler.flush_obs();
   return chain;
 }

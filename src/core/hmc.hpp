@@ -7,17 +7,19 @@
 // sum_i log(p_i (1 - p_i)) of the sigmoid transform, so samples mapped back
 // through sigmoid are distributed according to the posterior over p.
 //
-// Two entry points share one trajectory implementation:
-//   run_hmc        the one-shot batch sampler (warmup + kept samples, the
-//                  offline pipeline's path);
-//   HmcSampler     the resumable form: one iterate() per trajectory, with
-//                  the full mid-run state (position, dual-averaging
-//                  iterates, RNG engine) exposed for save/restore. The
-//                  becaused service keeps warm pools of these at their
-//                  post-warmup state — the dual-averaging step size is
-//                  frozen once burn-in ends, so later iterate() calls draw
+// One trajectory implementation, one draw loop:
+//   HmcSampler     the resumable sampler. draw(), the one loop that
+//                  advances N trajectories and keeps the positions past a
+//                  cut-off, may be called again and again; the full mid-run
+//                  state (position, dual-averaging iterates, RNG engine) is
+//                  exposed for save/restore. The becaused service keeps
+//                  warm pools of these at their post-warmup state (through
+//                  core::advance_hmc_chains) — the dual-averaging step size
+//                  is frozen once burn-in ends, so later trajectories come
 //                  from a fixed-step sampler and a restored sampler
 //                  continues bit-identically to one that never stopped.
+//   run_hmc        the one-shot batch form (warmup + kept samples, the
+//                  offline pipeline's path): one sampler's draw().
 #pragma once
 
 #include <cstdint>
@@ -73,10 +75,9 @@ struct HmcSamplerState {
   std::string rng_state;          ///< operator<< text of the mt19937_64 engine
 };
 
-/// Resumable HMC: one iterate() call per leapfrog trajectory, identical in
-/// sequence to run_hmc's loop body (run_hmc is a thin wrapper over this
-/// class, so the two cannot drift apart). Warmup adaptation runs while
-/// iteration() < config.burn_in and freezes afterwards; iterating past
+/// Resumable HMC: draw() advances any number of leapfrog trajectories and
+/// may be called repeatedly. Warmup adaptation runs for the first
+/// config.burn_in trajectories and freezes afterwards; advancing past
 /// burn_in + samples is allowed and keeps drawing from the frozen-step
 /// sampler (the warm-pool refresh path).
 class HmcSampler {
@@ -86,24 +87,14 @@ class HmcSampler {
   HmcSampler(const Likelihood& likelihood, const Prior& prior,
              const HmcConfig& config);
 
-  /// Run exactly one trajectory: momentum draw, leapfrog integration,
-  /// accept/reject, and (during burn-in) the dual-averaging update.
-  void iterate();
-
-  std::uint64_t iteration() const { return iteration_; }
-  bool in_warmup() const { return iteration_ < config_.burn_in; }
-
-  /// Current position mapped through sigmoid into an internal buffer
-  /// (valid until the next iterate()/current_p() call).
-  std::span<const double> current_p();
+  /// Run `trajectories` trajectories and return the positions (as p)
+  /// after the first `keep_after` of them. The chain's rates cover the
+  /// sampler's whole life: acceptance over every trajectory, kept
+  /// acceptance over the trajectories past burn-in, and the current step
+  /// size. Records no obs; see flush_obs().
+  Chain draw(std::size_t trajectories, std::size_t keep_after);
 
   std::size_t dim() const { return theta_.size(); }
-  double step_size() const { return step_size_; }
-  std::uint64_t proposals() const { return proposals_; }
-  std::uint64_t accepts() const { return accepts_; }
-  std::uint64_t kept_accepts() const { return kept_accepts_; }
-  std::uint64_t divergences() const { return divergences_; }
-  std::uint64_t leapfrog_steps() const { return leapfrog_steps_; }
 
   /// Snapshot / resume. restore_state() recomputes the cached log-target
   /// from the restored theta and replaces the RNG engine, so a
@@ -119,6 +110,14 @@ class HmcSampler {
   void flush_obs();
 
  private:
+  /// Run exactly one trajectory: momentum draw, leapfrog integration,
+  /// accept/reject, and (during burn-in) the dual-averaging update.
+  void iterate();
+
+  /// Current position mapped through sigmoid into an internal buffer
+  /// (valid until the next iterate()/current_p() call).
+  std::span<const double> current_p();
+
   const Likelihood& likelihood_;
   const Prior& prior_;
   HmcConfig config_;

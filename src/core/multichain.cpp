@@ -1,12 +1,8 @@
 #include "core/multichain.hpp"
 
 #include <algorithm>
-#include <exception>
-#include <functional>
-#include <future>
-#include <optional>
 #include <stdexcept>
-#include <type_traits>
+#include <utility>
 
 #include "core/kernels/dispatch.hpp"
 #include "obs/metrics.hpp"
@@ -29,83 +25,50 @@ bool MultiChainResult::converged(double threshold) const {
 
 namespace {
 
-/// Wait on every future in order; the first captured exception is rethrown
-/// only after all of them have finished, so no task outlives the call.
-template <typename T, typename Sink>
-void collect_all(std::vector<std::future<T>>& futures, Sink&& sink) {
-  std::exception_ptr first_error;
-  for (std::size_t i = 0; i < futures.size(); ++i) {
-    try {
-      if constexpr (std::is_void_v<T>) {
-        futures[i].get();
-      } else {
-        T value = futures[i].get();
-        if (!first_error) sink(i, std::move(value));
-      }
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
-    }
-  }
-  if (first_error) std::rethrow_exception(first_error);
-}
-
-/// Shared driver: run `n_chains` tasks produced by `make_chain(c)` on the
-/// pool, then diagnostics. Chain seeds are fixed by index, so the result is
-/// independent of pool size.
-MultiChainResult run_chains(
-    const Likelihood& likelihood, std::size_t n_chains, util::ThreadPool* pool,
-    const std::function<Chain(std::size_t)>& make_chain) {
+/// Refuse a one-chain R-hat run and resolve the pool argument.
+util::ThreadPool& chain_pool(std::size_t n_chains, util::ThreadPool* pool) {
   if (n_chains < 2)
     throw std::invalid_argument("run multi-chain: need >= 2 chains");
-  util::ThreadPool& workers = pool != nullptr ? *pool : util::shared_pool();
+  return pool != nullptr ? *pool : util::shared_pool();
+}
 
-  std::vector<std::future<Chain>> futures;
-  futures.reserve(n_chains);
-  for (std::size_t c = 0; c < n_chains; ++c)
-    futures.push_back(workers.submit([&make_chain, c] { return make_chain(c); }));
+ChainDraws pool_in_order(std::vector<Chain> chains) {
+  Chain pooled(chains.front().dim());
+  std::size_t total = 0;
+  for (const Chain& chain : chains) total += chain.size();
+  pooled.reserve(total);
+  for (const Chain& chain : chains)
+    for (std::size_t t = 0; t < chain.size(); ++t) pooled.push(chain.sample(t));
+  return {std::move(chains), std::move(pooled)};
+}
 
-  std::vector<std::optional<Chain>> slots(n_chains);
-  collect_all<Chain>(futures, [&slots](std::size_t c, Chain&& chain) {
-    slots[c].emplace(std::move(chain));
-  });
-
-  MultiChainResult result{{}, {}, Chain(likelihood.dim())};
-  result.chains.reserve(n_chains);
-  for (auto& slot : slots) result.chains.push_back(std::move(*slot));
-
-  // Per-coordinate split R-hat, partitioned over the pool. Each coordinate
-  // is computed exactly as in a serial loop, so the partition does not
-  // affect the values.
-  const std::size_t dim = likelihood.dim();
+/// Per-coordinate split R-hat, partitioned over the pool, then the mcmc.*
+/// gauges. Each coordinate is computed exactly as in a serial loop, so the
+/// partition does not affect the values.
+MultiChainResult diagnose(ChainDraws draws, util::ThreadPool& workers) {
+  MultiChainResult result{std::move(draws), {}};
+  const std::size_t n_chains = result.chains.size();
+  const std::size_t dim = result.pooled.dim();
   result.rhat.resize(dim, 1.0);
   const std::size_t chunks = std::min(dim, workers.size());
-  std::vector<std::future<void>> rhat_futures;
-  rhat_futures.reserve(chunks);
-  for (std::size_t chunk = 0; chunk < chunks; ++chunk) {
-    const std::size_t begin = dim * chunk / chunks;
-    const std::size_t end = dim * (chunk + 1) / chunks;
-    rhat_futures.push_back(workers.submit([&result, n_chains, begin, end] {
-      std::vector<std::vector<double>> marginals;
-      for (std::size_t i = begin; i < end; ++i) {
-        marginals.clear();
-        marginals.reserve(n_chains);
-        for (const Chain& chain : result.chains)
-          marginals.push_back(chain.marginal(i));
-        result.rhat[i] = stats::gelman_rubin(marginals);
-      }
-    }));
-  }
-  collect_all(rhat_futures, [](std::size_t) {});
-
-  for (const Chain& chain : result.chains)
-    for (std::size_t t = 0; t < chain.size(); ++t)
-      result.pooled.push(chain.sample(t));
+  util::fan_out(&workers, chunks, [&result, n_chains, dim,
+                                   chunks](std::size_t chunk) {
+    std::vector<std::vector<double>> marginals;
+    for (std::size_t i = dim * chunk / chunks; i < dim * (chunk + 1) / chunks;
+         ++i) {
+      marginals.clear();
+      marginals.reserve(n_chains);
+      for (const Chain& chain : result.chains)
+        marginals.push_back(chain.marginal(i));
+      result.rhat[i] = stats::gelman_rubin(marginals);
+    }
+  });
 
   if (obs::enabled()) {
     // Convergence snapshot for the whole run: the worst coordinate's R-hat
-    // and its summed per-chain ESS. Computed here — after collect_all, on
-    // the calling thread — so the values (and gauge writes) are independent
-    // of pool size.
+    // and its summed per-chain ESS. Computed here — after the join, on the
+    // calling thread — so the values (and gauge writes) are independent of
+    // pool size.
     obs::add(obs::Counter::kMcmcChains, n_chains);
     std::size_t worst = 0;
     for (std::size_t i = 1; i < dim; ++i)
@@ -127,31 +90,59 @@ MultiChainResult run_chains(
 
 }  // namespace
 
+std::vector<HmcSampler> make_hmc_chains(const Likelihood& likelihood,
+                                        const Prior& prior,
+                                        const HmcConfig& config,
+                                        std::size_t n_chains) {
+  std::vector<HmcSampler> samplers;
+  samplers.reserve(n_chains);
+  for (std::size_t c = 0; c < n_chains; ++c) {
+    HmcConfig chain_config = config;
+    chain_config.seed = config.seed + c;
+    samplers.emplace_back(likelihood, prior, chain_config);
+  }
+  return samplers;
+}
+
+ChainDraws advance_hmc_chains(std::vector<HmcSampler>& samplers,
+                              std::size_t trajectories, std::size_t keep_after,
+                              util::ThreadPool* pool) {
+  if (samplers.empty())
+    throw std::invalid_argument("advance_hmc_chains: no chains");
+  return pool_in_order(
+      util::fan_out(pool, samplers.size(), [&](std::size_t c) {
+        return samplers[c].draw(trajectories, keep_after);
+      }));
+}
+
 MultiChainResult run_metropolis_chains(const Likelihood& likelihood,
                                        const Prior& prior,
                                        const MetropolisConfig& config,
                                        std::size_t n_chains,
                                        util::ThreadPool* pool) {
-  return run_chains(likelihood, n_chains, pool,
-                    [&likelihood, &prior, &config](std::size_t c) {
-                      MetropolisConfig chain_config = config;
-                      chain_config.seed = config.seed + c;
-                      return run_metropolis(likelihood, prior, chain_config);
-                    });
+  util::ThreadPool& workers = chain_pool(n_chains, pool);
+  return diagnose(
+      pool_in_order(util::fan_out(&workers, n_chains, [&](std::size_t c) {
+        MetropolisConfig chain_config = config;
+        chain_config.seed = config.seed + c;
+        return run_metropolis(likelihood, prior, chain_config);
+      })),
+      workers);
 }
 
 MultiChainResult run_hmc_chains(const Likelihood& likelihood,
                                 const Prior& prior, const HmcConfig& config,
                                 std::size_t n_chains, util::ThreadPool* pool) {
+  util::ThreadPool& workers = chain_pool(n_chains, pool);
+  std::vector<HmcSampler> samplers =
+      make_hmc_chains(likelihood, prior, config, n_chains);
   MultiChainResult result =
-      run_chains(likelihood, n_chains, pool,
-                 [&likelihood, &prior, &config](std::size_t c) {
-                   HmcConfig chain_config = config;
-                   chain_config.seed = config.seed + c;
-                   return run_hmc(likelihood, prior, chain_config);
-                 });
+      diagnose(advance_hmc_chains(samplers, config.burn_in + config.samples,
+                                  config.burn_in, &workers),
+               workers);
+  for (HmcSampler& sampler : samplers) sampler.flush_obs();
   if (obs::enabled() && config.adapt_step_size)
-    // Chain 0's frozen warmup step size, recorded after collect_all on the
+    // Chain 0's frozen warmup step size, recorded after the join on the
     // calling thread — chains land in index order, so this is independent of
     // pool size.
     obs::set_gauge(obs::Gauge::kSamplerWarmupStepSize,

@@ -1,7 +1,6 @@
 #include "experiment/parallel_runner.hpp"
 
 #include <algorithm>
-#include <future>
 #include <stdexcept>
 #include <utility>
 
@@ -72,32 +71,21 @@ std::uint32_t ParallelCampaignRunner::effective_shards(std::uint32_t requested,
 
 std::vector<CampaignResult> ParallelCampaignRunner::run(
     const std::vector<CampaignScenario>& scenarios) {
-  std::vector<std::future<CampaignResult>> futures;
-  futures.reserve(scenarios.size());
-  for (std::size_t cell = 0; cell < scenarios.size(); ++cell) {
-    const std::uint32_t shards =
-        auto_shard_budget_
-            ? effective_shards(scenarios[cell].config.shards, pool_.size(),
-                               scenarios.size())
-            : scenarios[cell].config.shards;
-    // The trace lane is the cell index, installed inside the worker task:
-    // every event a cell emits then carries one lane written by one thread,
-    // which is what keeps the merged trace identical at any pool size.
-    futures.push_back(pool_.submit(
-        [config = &scenarios[cell].config, cell, shards] {
-          obs::TraceLaneScope lane(static_cast<std::uint32_t>(cell));
-          if (shards == config->shards) return run_campaign(*config);
-          CampaignConfig clamped = *config;
-          clamped.shards = shards;
-          return run_campaign(clamped);
-        }));
-  }
-  // Wait for everything first: a scenario that throws must not unwind while
-  // other workers still read the caller's scenario list.
-  for (std::future<CampaignResult>& f : futures) f.wait();
-  std::vector<CampaignResult> results;
-  results.reserve(futures.size());
-  for (std::future<CampaignResult>& f : futures) results.push_back(f.get());
+  // The trace lane is the cell index, installed inside the worker task:
+  // every event a cell emits then carries one lane written by one thread,
+  // which is what keeps the merged trace identical at any pool size.
+  // fan_out joins every cell before a throwing one's exception surfaces,
+  // so no worker still reads the caller's scenario list.
+  std::vector<CampaignResult> results =
+      util::fan_out(&pool_, scenarios.size(), [&](std::size_t cell) {
+        const CampaignConfig& config = scenarios[cell].config;
+        obs::TraceLaneScope lane(static_cast<std::uint32_t>(cell));
+        if (!auto_shard_budget_) return run_campaign(config);
+        CampaignConfig clamped = config;
+        clamped.shards =
+            effective_shards(config.shards, pool_.size(), scenarios.size());
+        return run_campaign(clamped);
+      });
 
   // End-of-run summary (replaces per-cell progress logging): one table at
   // kInfo, emitted after all futures resolved so it never interleaves with

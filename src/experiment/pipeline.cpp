@@ -1,11 +1,9 @@
 #include "experiment/pipeline.hpp"
 
 #include <stdexcept>
-#include <string>
 
 #include "core/likelihood.hpp"
 #include "core/prior.hpp"
-#include "labeling/path_key.hpp"
 
 namespace because::experiment {
 
@@ -36,18 +34,9 @@ core::Category InferenceResult::category_of(topology::AsId as) const {
 InferenceResult run_inference(const std::vector<labeling::LabeledPath>& paths,
                               const std::unordered_set<topology::AsId>& exclude,
                               const InferenceConfig& config) {
-  // Deduplicate identical (prefix, path, label) measurements: an AS feeding
-  // two collector projects exports the same stream twice, and counting it
-  // twice would double-weight perfectly correlated evidence. Distinct
-  // prefixes remain distinct measurements (independent experiments).
-  std::unordered_set<std::string> seen;
   labeling::PathDataset dataset;
-  for (const labeling::LabeledPath& p : paths) {
-    std::string key = std::to_string(p.prefix.id) + "|" +
-                      (p.rfd ? "1|" : "0|") + labeling::path_to_string(p.path);
-    if (!seen.insert(std::move(key)).second) continue;
-    dataset.add_path(p.path, p.rfd, exclude);
-  }
+  for (const labeling::LabeledPath* p : labeling::distinct_measurements(paths))
+    dataset.add_path(p->path, p->rfd, exclude);
   return run_inference(std::move(dataset), config);
 }
 

@@ -17,10 +17,11 @@
 
 namespace because::experiment {
 
-struct InferenceConfig {
-  core::MetropolisConfig mh;
+/// The posterior half of the settings: prior, noise model, HMC, HDPI mass
+/// and category cut-offs. This is all the becaused warm pools read
+/// (service::ServiceConfig::inference).
+struct PosteriorConfig {
   core::HmcConfig hmc;
-  bool use_hmc = true;
   /// Beta prior parameters (1,1 = uniform).
   double prior_alpha = 1.0;
   double prior_beta = 1.0;
@@ -28,6 +29,13 @@ struct InferenceConfig {
   core::NoiseModel noise;
   double hdpi_mass = 0.95;
   core::CategoryCutoffs cutoffs;
+};
+
+/// The offline pipeline's settings: the posterior half plus the MH chain,
+/// the HMC switch and Eq. 8 pinpointing.
+struct InferenceConfig : PosteriorConfig {
+  core::MetropolisConfig mh;
+  bool use_hmc = true;
   double pinpoint_threshold = 0.8;
   /// Noise guard for the pinpointing step; 0 = plain Eq. 8. When the noise
   /// model is enabled, 0.5 is a sensible value (an RFD path whose posterior

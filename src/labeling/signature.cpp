@@ -51,6 +51,23 @@ class CleanCache {
 
 }  // namespace
 
+std::vector<const LabeledPath*> distinct_measurements(
+    const std::vector<LabeledPath>& labeled) {
+  const auto hash = [](const LabeledPath* p) {
+    return PathHash{}(p->path) ^ (std::size_t{p->prefix.id} << 1 | p->rfd);
+  };
+  const auto same = [](const LabeledPath* a, const LabeledPath* b) {
+    return a->prefix.id == b->prefix.id && a->rfd == b->rfd &&
+           a->path == b->path;
+  };
+  std::unordered_set<const LabeledPath*, decltype(hash), decltype(same)> seen(
+      labeled.size(), hash, same);
+  std::vector<const LabeledPath*> out;
+  for (const LabeledPath& p : labeled)
+    if (seen.insert(&p).second) out.push_back(&p);
+  return out;
+}
+
 std::vector<LabeledPath> label_paths(const collector::UpdateStore& store,
                                      const bgp::Prefix& prefix,
                                      const beacon::BeaconSchedule& schedule,

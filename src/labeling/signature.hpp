@@ -59,6 +59,16 @@ std::vector<LabeledPath> label_paths(const collector::UpdateStore& store,
                                      const beacon::BeaconSchedule& schedule,
                                      const SignatureConfig& config = {});
 
+/// The measurements to count, in first-seen order: the first of each
+/// distinct (prefix, label, path) in `labeled`. An AS feeding two collector
+/// projects exports the same stream twice, and counting it twice would
+/// double-weight perfectly correlated evidence; distinct prefixes remain
+/// distinct measurements (independent experiments). The pointers address
+/// `labeled`'s elements. The order is the dataset's CSR order, part of the
+/// becaused snapshot contract.
+std::vector<const LabeledPath*> distinct_measurements(
+    const std::vector<LabeledPath>& labeled);
+
 /// Every distinct cleaned path observed for `prefix`, per vantage point --
 /// including transient path-hunting alternatives that label_paths()
 /// deliberately excludes. Input to heuristic M2 (§5.2.2).

@@ -5,7 +5,6 @@
 namespace because::service {
 
 void ServiceConfig::validate() const {
-  inference.mh.validate();
   inference.hmc.validate();
   inference.noise.validate();
   if (inference.prior_alpha <= 0.0 || inference.prior_beta <= 0.0)

@@ -19,10 +19,11 @@
 namespace because::service {
 
 struct ServiceConfig {
-  /// Posterior machinery: priors, noise model, HMC settings, category
-  /// cut-offs. The service's warm pools are HMC-only (the resumable
-  /// sampler); the MH half of the offline pipeline is not served.
-  experiment::InferenceConfig inference;
+  /// Posterior machinery: priors, noise model, HMC settings, HDPI mass,
+  /// category cut-offs. The warm pools are HMC-only and do not pinpoint, so
+  /// the offline pipeline's other settings are not served; assigning an
+  /// experiment::InferenceConfig keeps its posterior half.
+  experiment::PosteriorConfig inference;
 
   /// RFD signature labeling applied to each prefix's update stream.
   labeling::SignatureConfig signature;

@@ -89,12 +89,7 @@ topology::AsPath get_path(SnapshotReader& r) {
 }
 
 void put_config(SnapshotWriter& w, const ServiceConfig& c) {
-  const experiment::InferenceConfig& inf = c.inference;
-  w.put_u64(inf.mh.samples);
-  w.put_u64(inf.mh.burn_in);
-  w.put_u64(inf.mh.thin);
-  w.put_f64(inf.mh.proposal_sigma);
-  w.put_u64(inf.mh.seed);
+  const experiment::PosteriorConfig& inf = c.inference;
   w.put_u64(inf.hmc.samples);
   w.put_u64(inf.hmc.burn_in);
   w.put_f64(inf.hmc.step_size);
@@ -102,7 +97,6 @@ void put_config(SnapshotWriter& w, const ServiceConfig& c) {
   w.put_u64(inf.hmc.seed);
   w.put_bool(inf.hmc.adapt_step_size);
   w.put_f64(inf.hmc.target_accept);
-  w.put_bool(inf.use_hmc);
   w.put_f64(inf.prior_alpha);
   w.put_f64(inf.prior_beta);
   w.put_f64(inf.noise.false_signature);
@@ -112,8 +106,6 @@ void put_config(SnapshotWriter& w, const ServiceConfig& c) {
   w.put_f64(inf.cutoffs.mid_low);
   w.put_f64(inf.cutoffs.mid_high);
   w.put_f64(inf.cutoffs.high);
-  w.put_f64(inf.pinpoint_threshold);
-  w.put_f64(inf.pinpoint_noise_guard);
   w.put_i64(c.signature.min_rdelta);
   w.put_f64(c.signature.pair_match_fraction);
   w.put_i64(c.signature.burst_slack);
@@ -124,12 +116,7 @@ void put_config(SnapshotWriter& w, const ServiceConfig& c) {
 
 ServiceConfig get_config(SnapshotReader& r) {
   ServiceConfig c;
-  experiment::InferenceConfig& inf = c.inference;
-  inf.mh.samples = r.get_u64();
-  inf.mh.burn_in = r.get_u64();
-  inf.mh.thin = r.get_u64();
-  inf.mh.proposal_sigma = r.get_f64();
-  inf.mh.seed = r.get_u64();
+  experiment::PosteriorConfig& inf = c.inference;
   inf.hmc.samples = r.get_u64();
   inf.hmc.burn_in = r.get_u64();
   inf.hmc.step_size = r.get_f64();
@@ -137,7 +124,6 @@ ServiceConfig get_config(SnapshotReader& r) {
   inf.hmc.seed = r.get_u64();
   inf.hmc.adapt_step_size = r.get_bool();
   inf.hmc.target_accept = r.get_f64();
-  inf.use_hmc = r.get_bool();
   inf.prior_alpha = r.get_f64();
   inf.prior_beta = r.get_f64();
   inf.noise.false_signature = r.get_f64();
@@ -147,8 +133,6 @@ ServiceConfig get_config(SnapshotReader& r) {
   inf.cutoffs.mid_low = r.get_f64();
   inf.cutoffs.mid_high = r.get_f64();
   inf.cutoffs.high = r.get_f64();
-  inf.pinpoint_threshold = r.get_f64();
-  inf.pinpoint_noise_guard = r.get_f64();
   c.signature.min_rdelta = r.get_i64();
   c.signature.pair_match_fraction = r.get_f64();
   c.signature.burst_slack = r.get_i64();

@@ -16,9 +16,12 @@
 // frozen step size); a config-epoch mismatch or a first touch triggers a
 // cold build (full warmup).
 //
-// Determinism: chain c is seeded hmc.seed + c and collects its draws into
-// a private buffer; buffers are merged in chain-index order, so summaries
-// are byte-identical at any thread-pool size. Nothing here reads wallclock.
+// Determinism: every build, refresh and restore creates its chains in
+// start_chains (core::make_hmc_chains: chain c seeded hmc.seed + c) and
+// samples through core::advance_hmc_chains, the runner run_hmc_chains also
+// uses. Summaries come from its draws pooled in chain-index order, so they
+// are byte-identical at any thread-pool size; obs counters are flushed on
+// the calling thread after the join. Nothing here reads wallclock.
 //
 // Thread-safety: a PrefixPosterior is NOT self-locking. The daemon leases
 // it to exactly one query at a time (the entry's busy flag, held under the
@@ -74,7 +77,8 @@ class PrefixPosterior {
   /// seen ASs start at theta = 0, i.e. p = 1/2), advance refresh_samples
   /// trajectories per chain on the frozen step size and recompute the
   /// caches from those draws. Requires built() and an unchanged config
-  /// epoch (the daemon routes config changes to build()).
+  /// epoch (the daemon routes config changes to build()). A posterior whose
+  /// last build had no chains (empty dataset) takes the cold-build path.
   void refresh(const std::vector<labeling::LabeledPath>& labeled,
                const std::unordered_set<topology::AsId>& exclude,
                const ServiceConfig& config, std::uint64_t target_epoch,
@@ -117,9 +121,14 @@ class PrefixPosterior {
   void rebuild_model(const std::unordered_set<topology::AsId>& exclude,
                      const ServiceConfig& config);
 
+  /// Replace the chains with `n` fresh samplers over the current model,
+  /// resuming chain c from states[c] for every given state.
+  void start_chains(const ServiceConfig& config, std::size_t n,
+                    const std::vector<core::HmcSamplerState>& states = {});
+
   /// Run `extra` trajectories on every chain (in parallel when `pool` is
-  /// given), collecting the draws at iterations past `keep_after`, merge
-  /// in chain-index order and recompute summaries/categories.
+  /// given), keep the draws past the first `keep_after`, and recompute the
+  /// summaries/categories from them pooled in chain-index order.
   void advance_and_summarize(const ServiceConfig& config, std::size_t extra,
                              std::size_t keep_after, util::ThreadPool* pool);
 
@@ -133,7 +142,7 @@ class PrefixPosterior {
   labeling::PathDataset dataset_;
   std::unique_ptr<core::Prior> prior_;
   std::unique_ptr<core::Likelihood> likelihood_;
-  std::vector<std::unique_ptr<core::HmcSampler>> chains_;
+  std::vector<core::HmcSampler> chains_;
 
   std::vector<core::MarginalSummary> summaries_;
   std::vector<core::Category> categories_;

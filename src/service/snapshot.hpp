@@ -32,7 +32,7 @@
 namespace because::service {
 
 inline constexpr std::string_view kSnapshotMagic = "BCSNAP01";
-inline constexpr std::uint32_t kSnapshotVersion = 2;
+inline constexpr std::uint32_t kSnapshotVersion = 3;
 
 /// Append-only little-endian encoder.
 class SnapshotWriter {

@@ -1,14 +1,14 @@
-// A fixed-size persistent worker pool with future-based exception
-// propagation.
+// A fixed-size persistent worker pool, and fan_out(): the one way the
+// library runs N indexed tasks and joins them.
 //
-// The multi-chain MCMC runners previously spawned fresh std::threads per
-// invocation; a throwing chain body would std::terminate and repeated
-// invocations paid thread creation each time. This pool keeps a fixed set
-// of workers alive for the process, hands results (and exceptions) back
-// through std::future, and deliberately avoids work stealing: tasks here
-// are coarse (whole MCMC chains, coordinate ranges), so a single locked
-// queue is contention-free in practice and keeps execution order easy to
-// reason about.
+// The pool keeps a fixed set of workers alive for the process, hands
+// results (and exceptions) back through std::future, and deliberately
+// avoids work stealing: tasks here are coarse (whole MCMC chains, R-hat
+// coordinate ranges, campaign scenarios), so a single locked queue is
+// contention-free in practice and keeps execution order easy to reason
+// about. Callers that fan work out go through fan_out(), which returns
+// results in index order and never lets a task outlive the call; only the
+// sharded engine's long-lived round workers hold pool futures directly.
 //
 // The locking discipline is machine-checked: `queue_` and `stopping_` are
 // BECAUSE_GUARDED_BY(mutex_), so under clang's -Wthread-safety (the
@@ -118,6 +118,37 @@ class ThreadPool {
 inline ThreadPool& shared_pool() {
   static ThreadPool pool(ThreadPool::hardware_threads());
   return pool;
+}
+
+/// Run fn(0), ..., fn(n - 1) and return the results in index order: one
+/// pool task per index, or inline on the calling thread, in index order,
+/// when `pool` is null. Every task runs to completion before the call
+/// returns or throws; if any threw, the lowest-index exception is rethrown
+/// then, so tasks may safely reference the caller's frame. Results depend
+/// on the index only, never on the pool size.
+template <typename F>
+auto fan_out(ThreadPool* pool, std::size_t n, F&& fn) {
+  using R = std::invoke_result_t<F&, std::size_t>;
+  std::vector<std::future<R>> futures;
+  futures.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (pool != nullptr) {
+      futures.push_back(pool->submit([&fn, i] { return fn(i); }));
+    } else {
+      std::packaged_task<R()> task([&fn, i] { return fn(i); });
+      futures.push_back(task.get_future());
+      task();
+    }
+  }
+  for (std::future<R>& f : futures) f.wait();
+  if constexpr (std::is_void_v<R>) {
+    for (std::future<R>& f : futures) f.get();
+  } else {
+    std::vector<R> results;
+    results.reserve(n);
+    for (std::future<R>& f : futures) results.push_back(f.get());
+    return results;
+  }
 }
 
 }  // namespace because::util

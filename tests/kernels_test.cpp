@@ -9,7 +9,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "core/hmc.hpp"
@@ -261,6 +263,77 @@ TEST(KernelEquivalence, MetropolisDigestIdenticalAcrossLevels) {
       for (std::size_t i = 0; i < a.size(); ++i)
         EXPECT_EQ(a[i], b[i]) << kernels::level_name(level) << " sample " << t;
     }
+  }
+}
+
+std::uint64_t fnv1a_u64(std::uint64_t hash, std::uint64_t value) {
+  for (int i = 0; i < 8; ++i) {
+    hash ^= (value >> (8 * i)) & 0xff;
+    hash *= 1099511628211ULL;
+  }
+  return hash;
+}
+
+std::uint64_t fnv1a_f64(std::uint64_t hash, double value) {
+  return fnv1a_u64(hash, std::bit_cast<std::uint64_t>(value));
+}
+
+/// Every bit a multi-chain run hands back: each chain's draws and rates,
+/// the pooled draws and the per-coordinate R-hat.
+std::uint64_t multichain_digest(const MultiChainResult& result) {
+  std::uint64_t hash = 14695981039346656037ULL;
+  const auto add_chain = [&hash](const Chain& chain) {
+    hash = fnv1a_u64(hash, chain.size());
+    for (std::size_t t = 0; t < chain.size(); ++t)
+      for (double v : chain.sample(t)) hash = fnv1a_f64(hash, v);
+  };
+  for (const Chain& chain : result.chains) {
+    add_chain(chain);
+    hash = fnv1a_f64(hash, chain.acceptance_rate);
+    hash = fnv1a_f64(hash, chain.kept_acceptance_rate);
+    hash = fnv1a_f64(hash, chain.adapted_step_size);
+  }
+  add_chain(result.pooled);
+  for (double r : result.rhat) hash = fnv1a_f64(hash, r);
+  return hash;
+}
+
+TEST(KernelEquivalence, MultichainRunsMatchPinnedDigests) {
+  // Pinned against the implementation that ran each chain through its own
+  // run_hmc / run_metropolis call: the shared multi-chain runner must hand
+  // back the same draws, rates and R-hat bit for bit, at any pool size.
+  constexpr std::uint64_t kHmcDigest = 3770543459025570531ULL;
+  constexpr std::uint64_t kAdaptiveHmcDigest = 10282992179554898344ULL;
+  constexpr std::uint64_t kMetropolisDigest = 5070033126092722270ULL;
+  const auto data = planted_dataset(6);
+  const Likelihood lik(data);
+  const Prior prior = Prior::beta(1.0, 3.0);
+  HmcConfig hmc;
+  hmc.samples = 60;
+  hmc.burn_in = 30;
+  hmc.leapfrog_steps = 8;
+  hmc.seed = 9;
+  HmcConfig adaptive = hmc;
+  adaptive.adapt_step_size = true;
+  adaptive.step_size = 0.3;
+  MetropolisConfig mh;
+  mh.samples = 150;
+  mh.burn_in = 50;
+  mh.seed = 13;
+
+  for (std::size_t pool_size : {1u, 4u}) {
+    util::ThreadPool pool(pool_size);
+    EXPECT_EQ(multichain_digest(run_hmc_chains(lik, prior, hmc, 3, &pool)),
+              kHmcDigest)
+        << "pool " << pool_size;
+    EXPECT_EQ(
+        multichain_digest(run_hmc_chains(lik, prior, adaptive, 2, &pool)),
+        kAdaptiveHmcDigest)
+        << "pool " << pool_size;
+    EXPECT_EQ(
+        multichain_digest(run_metropolis_chains(lik, prior, mh, 3, &pool)),
+        kMetropolisDigest)
+        << "pool " << pool_size;
   }
 }
 

@@ -4,6 +4,7 @@
 // merged in index order, so the worker count never leaks into the draws).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -73,6 +74,21 @@ TEST(ServiceDeterminism, ByteIdenticalAcrossPoolSizes) {
     EXPECT_TRUE(pooled.snapshot == serial.snapshot)
         << "snapshot diverged at " << threads << " threads";
   }
+}
+
+TEST(ServiceDeterminism, AnswersMatchPinnedDigest) {
+  // Pinned against the implementation whose service drove its warm chains
+  // through a private loop: the shared multi-chain runner must render the
+  // same five answers byte for byte. The snapshot is left out on purpose —
+  // its config block is a format detail, versioned separately.
+  constexpr std::uint64_t kAnswersDigest = 2242124486414523490ULL;
+  std::uint64_t hash = 14695981039346656037ULL;
+  for (const std::string& response : run_script(nullptr).responses)
+    for (const unsigned char c : response + '\n') {
+      hash ^= c;
+      hash *= 1099511628211ULL;
+    }
+  EXPECT_EQ(hash, kAnswersDigest);
 }
 
 TEST(ServiceDeterminism, RenderedSourcesFollowTheScript) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <string>
 
@@ -130,18 +131,23 @@ TEST(ServiceSnapshot, RejectsVersionMismatch) {
 }
 
 TEST(ServiceSnapshot, RejectsVersionOneSnapshots) {
-  // Version 1's config block carried the HMC gradient shard count, a field
-  // the format no longer has; reading one as version 2 would shift every
-  // later config field, so the header check must refuse it.
+  // Older config blocks carry fields the format no longer has: version 1
+  // the HMC gradient shard count, version 2 the offline pipeline's MH,
+  // HMC-switch and pinpointing settings. Reading either as version 3 would
+  // shift every later config field, so the header check must refuse both.
   ScopedContractMode guard(ContractMode::kThrow);
-  ASSERT_EQ(kSnapshotVersion, 2u);
+  ASSERT_EQ(kSnapshotVersion, 3u);
   auto daemon = loaded_daemon();
-  std::string bytes = daemon->save_snapshot();
-  const std::size_t at = kSnapshotMagic.size();
-  bytes[at] = 1;
-  bytes[at + 1] = bytes[at + 2] = bytes[at + 3] = 0;
-  Daemon victim{ServiceConfig::fast()};
-  EXPECT_THROW(victim.restore_snapshot(bytes), ContractViolation);
+  const std::string current = daemon->save_snapshot();
+  for (const std::uint32_t version : {1u, 2u}) {
+    std::string bytes = current;
+    const std::size_t at = kSnapshotMagic.size();
+    bytes[at] = static_cast<char>(version);
+    bytes[at + 1] = bytes[at + 2] = bytes[at + 3] = 0;
+    Daemon victim{ServiceConfig::fast()};
+    EXPECT_THROW(victim.restore_snapshot(bytes), ContractViolation)
+        << "version " << version;
+  }
 }
 
 TEST(ServiceSnapshot, RejectsTruncation) {

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "experiment/campaign.hpp"
 #include "service/daemon.hpp"
+#include "util/thread_pool.hpp"
 
 namespace because::service {
 namespace {
@@ -100,6 +102,32 @@ TEST(Service, IngestBumpsEpochAndTriggersRefresh) {
   const ServiceStats stats = daemon->stats();
   EXPECT_EQ(stats.refreshes, 1u);
   EXPECT_EQ(stats.cold_builds, 1u);
+}
+
+TEST(Service, SingleWarmChainAnswersColdAndRefreshed) {
+  // pool_chains = 1: the multi-chain runner must accept one chain on both
+  // rungs, and the answers must not depend on whether a pool is given.
+  ServiceConfig config = test_config();
+  config.pool_chains = 1;
+  const bgp::Prefix prefix = beacon_prefix();
+  util::ThreadPool pool(2);
+  std::vector<std::string> rendered[2];
+  for (util::ThreadPool* p : {static_cast<util::ThreadPool*>(nullptr), &pool}) {
+    Daemon daemon(config, p);
+    daemon.load_campaign(shared_campaign());
+    daemon.replay(shared_campaign().store);
+    const QueryResult cold = daemon.query(prefix);
+    EXPECT_EQ(cold.source, QueryResult::Source::kCold);
+    EXPECT_GT(cold.observations, 0u);
+    EXPECT_FALSE(cold.summaries.empty());
+    daemon.ingest(late_update(prefix));
+    const QueryResult refreshed = daemon.query(prefix);
+    EXPECT_EQ(refreshed.source, QueryResult::Source::kRefreshed);
+    EXPECT_EQ(refreshed.summaries.size(), refreshed.categories.size());
+    EXPECT_FALSE(refreshed.summaries.empty());
+    rendered[p == nullptr ? 0 : 1] = {render(cold), render(refreshed)};
+  }
+  EXPECT_EQ(rendered[0], rendered[1]);
 }
 
 TEST(Service, CommitInvalidatesCacheViaConfigEpoch) {

@@ -1,13 +1,16 @@
-// ThreadPool semantics (results, exception propagation, shutdown) and the
-// pooled multi-chain determinism guarantees built on it:
+// ThreadPool semantics (results, exception propagation, shutdown), the
+// fan_out join (index order, inline on a null pool, no task outliving a
+// throw) and the pooled multi-chain determinism guarantees built on it:
 // the same seed must give bit-identical results whether the work runs on a
 // 1-thread or a 4-thread pool.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
+#include <latch>
 #include <limits>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "core/hmc.hpp"
@@ -77,6 +80,63 @@ TEST(ThreadPool, RunsAllTasksOnSingleWorker) {
 
 TEST(ThreadPool, HardwareThreadsHasFloorOfOne) {
   EXPECT_GE(util::ThreadPool::hardware_threads(), 1u);
+}
+
+TEST(FanOut, ReturnsResultsInIndexOrder) {
+  util::ThreadPool pool(4);
+  const std::vector<std::size_t> squares =
+      util::fan_out(&pool, 64, [](std::size_t i) { return i * i; });
+  ASSERT_EQ(squares.size(), 64u);
+  for (std::size_t i = 0; i < squares.size(); ++i) EXPECT_EQ(squares[i], i * i);
+  EXPECT_TRUE(util::fan_out(&pool, 0, [](std::size_t i) { return i; }).empty());
+}
+
+TEST(FanOut, NullPoolRunsInlineOnTheCaller) {
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::size_t> order;
+  const std::vector<std::thread::id> ids =
+      util::fan_out(nullptr, 5, [&order](std::size_t i) {
+        order.push_back(i);
+        return std::this_thread::get_id();
+      });
+  ASSERT_EQ(ids.size(), 5u);
+  for (const std::thread::id id : ids) EXPECT_EQ(id, caller);
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+}
+
+TEST(FanOut, ThrowsOnlyAfterEveryTaskFinished) {
+  // Task 0 opens the latch just before it throws, so the other tasks are
+  // still running when its exception is captured; the call may surface it
+  // only once they have all finished. Task 2 throws too, later in index
+  // order, so task 0's exception is the one that must win.
+  constexpr std::size_t kTasks = 4;
+  util::ThreadPool pool(kTasks);
+  std::latch thrown(1);
+  std::atomic<std::size_t> finished{0};
+  EXPECT_THROW(util::fan_out(&pool, kTasks,
+                             [&](std::size_t i) {
+                               if (i == 0) {
+                                 thrown.count_down();
+                                 throw std::runtime_error("task 0");
+                               }
+                               thrown.wait();
+                               ++finished;
+                               if (i == 2) throw std::logic_error("task 2");
+                             }),
+               std::runtime_error);
+  EXPECT_EQ(finished.load(), kTasks - 1);
+}
+
+TEST(FanOut, NullPoolRunsEveryTaskBeforeRethrowing) {
+  std::size_t ran = 0;
+  EXPECT_THROW(util::fan_out(nullptr, 3,
+                             [&ran](std::size_t i) {
+                               ++ran;
+                               if (i == 0) throw std::runtime_error("task 0");
+                               return i;
+                             }),
+               std::runtime_error);
+  EXPECT_EQ(ran, 3u);
 }
 
 TEST(MultiChainPooled, MetropolisIdenticalAcrossPoolSizes) {
