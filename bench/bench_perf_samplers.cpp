@@ -25,16 +25,21 @@ namespace {
 
 using namespace because;
 
-/// Synthetic dataset: `ases` ASs, `paths` random paths of length ~5, 10%
-/// of ASs planted as dampers.
+/// Synthetic dataset: `paths` observations of random paths of length ~5
+/// over `ases` ASs, 10% of ASs planted as dampers. With `repeated`, each
+/// generated row is observed 2 or 3 times (2.6 on average, about the
+/// observations per distinct row of the Table 4 ROV benchmark, where
+/// vantage points and beacon prefixes share paths) until `paths`
+/// observations are reached.
 labeling::PathDataset synthetic_dataset(std::size_t ases, std::size_t paths,
+                                        bool repeated = false,
                                         std::uint64_t seed = 42) {
   stats::Rng rng(seed);
   std::vector<bool> damper(ases);
   for (std::size_t i = 0; i < ases; ++i) damper[i] = rng.bernoulli(0.1);
 
   labeling::PathDataset data;
-  for (std::size_t j = 0; j < paths; ++j) {
+  while (data.path_count() < paths) {
     topology::AsPath path;
     bool shows = false;
     const std::size_t len = 3 + rng.index(4);
@@ -43,77 +48,87 @@ labeling::PathDataset synthetic_dataset(std::size_t ases, std::size_t paths,
       path.push_back(as + 10);
       if (damper[as]) shows = true;
     }
-    data.add_path(path, shows);
+    const std::size_t copies = repeated ? (rng.bernoulli(0.6) ? 3 : 2) : 1;
+    for (std::size_t c = 0; c < copies && data.path_count() < paths; ++c)
+      data.add_path(path, shows);
   }
   return data;
 }
 
-void BM_LogLikelihood(benchmark::State& state) {
+/// The likelihood and gradient kernels with dispatch pinned to `level`
+/// (detection is restored afterwards); skipped where the host lacks it.
+/// The committed BENCH_samplers.json carries every level, and main()
+/// appends derived "Speedup..." records (scalar-ns / detected-level-ns)
+/// that tools/bench_gate.py skips because each input is gated individually.
+void log_likelihood_at(benchmark::State& state, core::kernels::Level level) {
   const auto data = synthetic_dataset(
       static_cast<std::size_t>(state.range(0)),
       static_cast<std::size_t>(state.range(0)) * 4);
   const core::Likelihood lik(data);
   std::vector<double> p(lik.dim(), 0.3);
+  if (!core::kernels::force_level(level)) {
+    state.SkipWithError("dispatch level not supported on this host");
+    return;
+  }
   for (auto _ : state) benchmark::DoNotOptimize(lik.log_likelihood(p));
+  core::kernels::force_level(core::kernels::detected_level());
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(data.path_count()));
+}
+
+void gradient_at(benchmark::State& state, core::kernels::Level level) {
+  const auto data = synthetic_dataset(
+      static_cast<std::size_t>(state.range(0)),
+      static_cast<std::size_t>(state.range(0)) * 4);
+  const core::Likelihood lik(data);
+  std::vector<double> p(lik.dim(), 0.3), grad(lik.dim());
+  if (!core::kernels::force_level(level)) {
+    state.SkipWithError("dispatch level not supported on this host");
+    return;
+  }
+  for (auto _ : state) {
+    lik.gradient(p, grad);
+    benchmark::DoNotOptimize(grad.data());
+  }
+  core::kernels::force_level(core::kernels::detected_level());
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(data.path_count()));
+}
+
+void BM_LogLikelihood(benchmark::State& state) {
+  log_likelihood_at(state, core::kernels::detected_level());
 }
 BENCHMARK(BM_LogLikelihood)->Arg(64)->Arg(256)->Arg(1024);
 
 void BM_Gradient(benchmark::State& state) {
-  const auto data = synthetic_dataset(
-      static_cast<std::size_t>(state.range(0)),
-      static_cast<std::size_t>(state.range(0)) * 4);
-  const core::Likelihood lik(data);
-  std::vector<double> p(lik.dim(), 0.3), grad(lik.dim());
-  for (auto _ : state) {
-    lik.gradient(p, grad);
-    benchmark::DoNotOptimize(grad.data());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(data.path_count()));
+  gradient_at(state, core::kernels::detected_level());
 }
 BENCHMARK(BM_Gradient)->Arg(64)->Arg(256)->Arg(1024);
 
-// The same two kernels with dispatch pinned to the scalar fallback. The
-// committed BENCH_samplers.json carries both, and main() appends derived
-// "Speedup..." records (scalar-ns / vector-ns) that tools/bench_gate.py
-// skips because each input is gated individually.
 void BM_LogLikelihoodScalar(benchmark::State& state) {
-  const auto data = synthetic_dataset(
-      static_cast<std::size_t>(state.range(0)),
-      static_cast<std::size_t>(state.range(0)) * 4);
-  const core::Likelihood lik(data);
-  std::vector<double> p(lik.dim(), 0.3);
-  core::kernels::force_level(core::kernels::Level::kScalar);
-  for (auto _ : state) benchmark::DoNotOptimize(lik.log_likelihood(p));
-  core::kernels::force_level(core::kernels::detected_level());
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(data.path_count()));
+  log_likelihood_at(state, core::kernels::Level::kScalar);
 }
 BENCHMARK(BM_LogLikelihoodScalar)->Arg(64)->Arg(256)->Arg(1024);
 
 void BM_GradientScalar(benchmark::State& state) {
-  const auto data = synthetic_dataset(
-      static_cast<std::size_t>(state.range(0)),
-      static_cast<std::size_t>(state.range(0)) * 4);
-  const core::Likelihood lik(data);
-  std::vector<double> p(lik.dim(), 0.3), grad(lik.dim());
-  core::kernels::force_level(core::kernels::Level::kScalar);
-  for (auto _ : state) {
-    lik.gradient(p, grad);
-    benchmark::DoNotOptimize(grad.data());
-  }
-  core::kernels::force_level(core::kernels::detected_level());
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(data.path_count()));
+  gradient_at(state, core::kernels::Level::kScalar);
 }
 BENCHMARK(BM_GradientScalar)->Arg(64)->Arg(256)->Arg(1024);
 
-void BM_MetropolisSweeps(benchmark::State& state) {
+void BM_LogLikelihoodAvx2(benchmark::State& state) {
+  log_likelihood_at(state, core::kernels::Level::kAvx2);
+}
+BENCHMARK(BM_LogLikelihoodAvx2)->Arg(64)->Arg(256)->Arg(1024);
+
+void BM_GradientAvx2(benchmark::State& state) {
+  gradient_at(state, core::kernels::Level::kAvx2);
+}
+BENCHMARK(BM_GradientAvx2)->Arg(64)->Arg(256)->Arg(1024);
+
+void metropolis_sweeps(benchmark::State& state, bool repeated) {
   const auto data = synthetic_dataset(
       static_cast<std::size_t>(state.range(0)),
-      static_cast<std::size_t>(state.range(0)) * 4);
+      static_cast<std::size_t>(state.range(0)) * 4, repeated);
   const core::Likelihood lik(data);
   const core::Prior prior = core::Prior::uniform();
   core::MetropolisConfig config;
@@ -128,7 +143,20 @@ void BM_MetropolisSweeps(benchmark::State& state) {
   // One item = one full coordinate sweep.
   state.SetItemsProcessed(state.iterations() * 20);
 }
+
+void BM_MetropolisSweeps(benchmark::State& state) {
+  metropolis_sweeps(state, false);
+}
 BENCHMARK(BM_MetropolisSweeps)->Arg(64)->Arg(256)->Arg(1024)
+    ->Unit(benchmark::kMillisecond);
+
+// The same sweep where each distinct row is observed ~2.6 times: the
+// sweep's transcendental work follows the distinct rows, its additions
+// every observation.
+void BM_MetropolisSweepsRepeated(benchmark::State& state) {
+  metropolis_sweeps(state, true);
+}
+BENCHMARK(BM_MetropolisSweepsRepeated)->Arg(256)
     ->Unit(benchmark::kMillisecond);
 
 void BM_HmcTrajectories(benchmark::State& state) {

@@ -3,9 +3,13 @@
 // Component-wise random-walk Metropolis with reflection at the [0,1]
 // boundary (a symmetric proposal, so the Hastings correction cancels in
 // Eq. 7). A full sweep updates every coordinate once; per-coordinate
-// likelihood deltas are computed incrementally from cached per-observation
-// products, so a sweep costs O(total path length) instead of
-// O(paths * dimension).
+// likelihood deltas are computed incrementally from cached products, so a
+// sweep costs O(total path length) instead of O(paths * dimension).
+// Observations with the same (ordered row, label) share one cached product
+// and log term: a proposal for coordinate i takes one log per distinct row
+// containing i (the old state's logs are cached) and one addition per
+// observation containing i, in observation order, so the draws are those
+// of a per-observation sweep bit for bit.
 #pragma once
 
 #include <cstdint>

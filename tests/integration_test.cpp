@@ -2,7 +2,11 @@
 // against the simulator's ground truth, plus the ROV benchmark (§7).
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "core/evaluate.hpp"
+#include "core/kernels/dispatch.hpp"
 #include "experiment/campaign.hpp"
 #include "topology/generator.hpp"
 #include "experiment/figures.hpp"
@@ -132,6 +136,68 @@ TEST(EndToEnd, RovBenchmarkHighPrecision) {
   // Recall is limited by ROV ASs hiding behind each other (the paper reports
   // 64%); just require that a meaningful share is found.
   EXPECT_GE(eval.matrix.recall(), 0.2);
+}
+
+std::uint64_t fnv1a(std::uint64_t hash, std::uint64_t value) {
+  for (int i = 0; i < 8; ++i) {
+    hash ^= (value >> (8 * i)) & 0xff;
+    hash *= 1099511628211ULL;
+  }
+  return hash;
+}
+
+/// Every draw and both acceptance rates of one chain.
+std::uint64_t chain_digest(const core::Chain& chain) {
+  std::uint64_t hash = fnv1a(14695981039346656037ULL, chain.size());
+  for (std::size_t t = 0; t < chain.size(); ++t)
+    for (double v : chain.sample(t))
+      hash = fnv1a(hash, std::bit_cast<std::uint64_t>(v));
+  hash = fnv1a(hash, std::bit_cast<std::uint64_t>(chain.acceptance_rate));
+  return fnv1a(hash, std::bit_cast<std::uint64_t>(chain.kept_acceptance_rate));
+}
+
+TEST(EndToEnd, RovInferenceMatchesPinnedDigests) {
+  // The ROV benchmark over every observed path repeats rows many times over
+  // (vantage points and beacon prefixes share paths). Pinned against the
+  // Metropolis sweep that took two logs per observation per proposal, with
+  // a scaled-down Table 4 noisy config, at every dispatch level.
+  constexpr std::uint64_t kCategoriesDigest = 1246530080592876673ULL;
+  constexpr std::uint64_t kMhDigest = 17854218806793178233ULL;
+  constexpr std::uint64_t kHmcDigest = 17455133283152425692ULL;
+  const EndToEnd& run = shared_run();
+  std::vector<topology::AsPath> paths;
+  for (const auto& p : run.campaign.observed) paths.push_back(p.path);
+  stats::Rng rng(17);
+  auto rov_ases = rov::plant_rov_ases(paths, 0.9, 25, rng, 10);
+  const auto bench = rov::make_rov_benchmark(paths, std::move(rov_ases));
+
+  InferenceConfig config;
+  config.mh.samples = 300;
+  config.mh.burn_in = 200;
+  config.mh.thin = 2;
+  config.hmc.samples = 60;
+  config.hmc.burn_in = 20;
+  config.hmc.leapfrog_steps = 30;
+  config.prior_beta = 1.5;
+  config.noise.false_signature = 0.05;
+  config.noise.missed_signature = 0.05;
+  config.pinpoint_noise_guard = 0.5;
+
+  const core::kernels::Level saved = core::kernels::active_level();
+  for (const core::kernels::Level level :
+       {core::kernels::Level::kScalar, core::kernels::Level::kAvx2,
+        core::kernels::Level::kAvx512}) {
+    if (!core::kernels::force_level(level)) continue;
+    const auto result = experiment::run_inference(bench.dataset, config);
+    std::uint64_t categories = 14695981039346656037ULL;
+    for (const core::Category c : result.categories)
+      categories = fnv1a(categories, static_cast<std::uint64_t>(c));
+    const char* name = core::kernels::level_name(level);
+    EXPECT_EQ(categories, kCategoriesDigest) << name;
+    EXPECT_EQ(chain_digest(*result.mh_chain), kMhDigest) << name;
+    EXPECT_EQ(chain_digest(*result.hmc_chain), kHmcDigest) << name;
+  }
+  core::kernels::force_level(saved);
 }
 
 TEST(EndToEnd, MeasuredRovExperimentAgreesWithMembership) {

@@ -17,6 +17,7 @@
 #include "core/hmc.hpp"
 #include "core/kernels/dispatch.hpp"
 #include "core/likelihood.hpp"
+#include "core/metropolis.hpp"
 #include "core/multichain.hpp"
 #include "core/prior.hpp"
 #include "stats/rng.hpp"
@@ -278,22 +279,25 @@ std::uint64_t fnv1a_f64(std::uint64_t hash, double value) {
   return fnv1a_u64(hash, std::bit_cast<std::uint64_t>(value));
 }
 
+/// Fold a chain's draw count and every draw into `hash`.
+std::uint64_t fnv1a_draws(std::uint64_t hash, const Chain& chain) {
+  hash = fnv1a_u64(hash, chain.size());
+  for (std::size_t t = 0; t < chain.size(); ++t)
+    for (double v : chain.sample(t)) hash = fnv1a_f64(hash, v);
+  return hash;
+}
+
 /// Every bit a multi-chain run hands back: each chain's draws and rates,
 /// the pooled draws and the per-coordinate R-hat.
 std::uint64_t multichain_digest(const MultiChainResult& result) {
   std::uint64_t hash = 14695981039346656037ULL;
-  const auto add_chain = [&hash](const Chain& chain) {
-    hash = fnv1a_u64(hash, chain.size());
-    for (std::size_t t = 0; t < chain.size(); ++t)
-      for (double v : chain.sample(t)) hash = fnv1a_f64(hash, v);
-  };
   for (const Chain& chain : result.chains) {
-    add_chain(chain);
+    hash = fnv1a_draws(hash, chain);
     hash = fnv1a_f64(hash, chain.acceptance_rate);
     hash = fnv1a_f64(hash, chain.kept_acceptance_rate);
     hash = fnv1a_f64(hash, chain.adapted_step_size);
   }
-  add_chain(result.pooled);
+  hash = fnv1a_draws(hash, result.pooled);
   for (double r : result.rhat) hash = fnv1a_f64(hash, r);
   return hash;
 }
@@ -334,6 +338,55 @@ TEST(KernelEquivalence, MultichainRunsMatchPinnedDigests) {
         multichain_digest(run_metropolis_chains(lik, prior, mh, 3, &pool)),
         kMetropolisDigest)
         << "pool " << pool_size;
+  }
+}
+
+/// Repeated rows of every kind the Metropolis sweep groups: exact repeats,
+/// one AS set in two orders (distinct products, so distinct groups) and one
+/// row under both labels.
+labeling::PathDataset repeated_rows_dataset() {
+  labeling::PathDataset d;
+  for (int i = 0; i < 4; ++i) {
+    d.add_path({10, 20, 30}, true);
+    d.add_path({30, 20, 10}, true);
+    d.add_path({20, 40}, false);
+    d.add_path({20, 40}, true);
+    d.add_path({40, 50, 60}, false);
+    if (i % 2 == 0) d.add_path({10, 60}, true);
+  }
+  d.add_path({50, 70}, false);
+  return d;
+}
+
+/// One chain's draws and both acceptance rates.
+std::uint64_t chain_digest(const Chain& chain) {
+  std::uint64_t hash = fnv1a_draws(14695981039346656037ULL, chain);
+  hash = fnv1a_f64(hash, chain.acceptance_rate);
+  return fnv1a_f64(hash, chain.kept_acceptance_rate);
+}
+
+TEST(KernelEquivalence, MetropolisMatchesPinnedDigestOnRepeatedRows) {
+  // Pinned against the sweep that evaluated two logs per observation per
+  // proposal: grouping identical (ordered row, label) observations must
+  // hand back the same draws and rates bit for bit, at every level.
+  constexpr std::uint64_t kDigest = 3627909771328854005ULL;
+  LevelGuard guard;
+  const auto data = repeated_rows_dataset();
+  NoiseModel noise;
+  noise.false_signature = 0.05;
+  noise.missed_signature = 0.05;
+  const Likelihood lik(data, noise);
+  const Prior prior = Prior::beta(1.0, 1.5);
+  MetropolisConfig config;
+  config.samples = 200;
+  config.burn_in = 100;
+  config.thin = 2;
+  config.seed = 21;
+
+  for (kernels::Level level : supported_levels()) {
+    ASSERT_TRUE(kernels::force_level(level));
+    EXPECT_EQ(chain_digest(run_metropolis(lik, prior, config)), kDigest)
+        << kernels::level_name(level);
   }
 }
 
